@@ -16,14 +16,15 @@
 
 use apenet_bench::results_dir;
 use apenet_cluster::harness::{
-    incast_run_slo_traced, pingpong_sampled_instrumented, BufSide, IncastParams, IncastVerb,
+    incast_run_slo_traced, pingpong_with, BufSide, IncastParams, IncastVerb,
 };
 use apenet_cluster::presets::{cluster_i_default, cluster_i_incast, incast_dims};
-use apenet_cluster::OccupancySampler;
+use apenet_cluster::Planes;
 use apenet_obs::perfetto;
 use apenet_obs::report::metrics;
 use apenet_obs::slo::SloConfig;
 use apenet_rdma::pacing::PacerConfig;
+use apenet_sim::trace::SharedSink;
 use apenet_sim::SimDuration;
 
 /// Validate `events`, render to JSON, sanity-check, and write
@@ -99,20 +100,27 @@ fn export_incast() {
 }
 
 fn main() {
-    let mut sampler = OccupancySampler::new(SimDuration::from_us(2));
-    let (half_rtt, records) = pingpong_sampled_instrumented(
+    let planes = Planes {
+        trace: Some(SharedSink::capturing()),
+        sample: Some(SimDuration::from_us(2)),
+        ..Planes::off()
+    };
+    let (half_rtt, artifacts) = pingpong_with(
         cluster_i_default(),
         BufSide::Gpu,
         BufSide::Gpu,
         4096,
         4,
         false,
-        &mut sampler,
+        planes,
     );
+    let records = artifacts.trace;
     let mut events = perfetto::export(&records);
     // Counter tracks: every sampled series that ever left zero (the
     // all-zero ones add bulk, not information).
-    let series: Vec<_> = sampler
+    let series: Vec<_> = artifacts
+        .sampler
+        .expect("sample plane on")
         .series()
         .into_iter()
         .filter(|(_, pts)| pts.iter().any(|&(_, v)| v != 0))

@@ -9,11 +9,11 @@
 //! rendered maps are committed under `results/`.
 
 use crate::emit;
-use apenet_cluster::harness::{chaos_run_sampled, ChaosParams, ChaosReport};
+use apenet_cluster::harness::{chaos_run_with, ChaosParams, ChaosReport};
 use apenet_cluster::node::FaultPlan;
 use apenet_cluster::presets::{cluster_i_chaos, cluster_i_default, cluster_i_hard_fault};
-use apenet_cluster::sampling::{OccupancySampler, PORT_LABELS};
-use apenet_cluster::NodeConfig;
+use apenet_cluster::sampling::PORT_LABELS;
+use apenet_cluster::{NodeConfig, Planes};
 use apenet_core::coord::{LinkDir, TorusDims};
 use apenet_obs::heatmap::{utilization_row, Heatmap};
 use apenet_sim::fault::FaultSpec;
@@ -42,8 +42,12 @@ fn params() -> ChaosParams {
 /// congestion, never data loss.
 fn scenario(name: &str, cfg: NodeConfig) -> (ChaosReport, String) {
     let gbps = cfg.card.link_gbps;
-    let mut sampler = OccupancySampler::new(SimDuration::from_us(2));
-    let r = chaos_run_sampled(dims(), cfg, params(), &mut sampler);
+    let planes = Planes {
+        sample: Some(SimDuration::from_us(2)),
+        ..Planes::off()
+    };
+    let (r, artifacts) = chaos_run_with(dims(), cfg, params(), planes);
+    let sampler = artifacts.sampler.expect("sample plane on");
     assert_eq!(r.delivered, r.expected, "heatmap run must deliver");
     assert_eq!(r.duplicates, 0, "heatmap run must be exactly-once");
     assert!(r.payload_ok, "heatmap run must verify payloads");

@@ -4,8 +4,9 @@
 //! interposer on the card's slot.
 
 use crate::{cmp_header, cmp_row, emit};
-use apenet_cluster::harness::{flush_read_with_trace, BufSide};
+use apenet_cluster::harness::{flush_read_with, BufSide};
 use apenet_cluster::presets::plx_node;
+use apenet_cluster::Planes;
 use apenet_core::config::GpuTxVersion;
 use apenet_gpu::GpuArch;
 use apenet_pcie::analyzer::{render_trace, summarize_p2p_read};
@@ -15,8 +16,12 @@ use std::fmt::Write;
 /// Regenerate this experiment.
 pub fn run() {
     let cfg = plx_node(GpuArch::Fermi2050, GpuTxVersion::V2, 32 * 1024);
-    let sink = SharedSink::capturing();
-    let (bw, records) = flush_read_with_trace(cfg, BufSide::Gpu, 4 << 20, 2, Some(sink));
+    let planes = Planes {
+        pcie: Some(SharedSink::capturing()),
+        ..Planes::off()
+    };
+    let (bw, artifacts) = flush_read_with(cfg, BufSide::Gpu, 4 << 20, 2, planes);
+    let records = artifacts.pcie;
     // The analyzer trigger of Fig. 3 is the moment the PUT reaches the
     // card (transaction "1").
     let summary = summarize_p2p_read(&records, bw.first_submit).expect("read traffic captured");

@@ -15,10 +15,9 @@
 //!   construction.
 
 use crate::{count_for, emit, sizes_4kb_4mb, sweep};
-use apenet_cluster::harness::{
-    flush_read_with_trace, two_node_instrumented, BufSide, TwoNodeParams,
-};
+use apenet_cluster::harness::{flush_read_with, two_node_with, BufSide, TwoNodeParams};
 use apenet_cluster::presets::{cluster_i_default, plx_node};
+use apenet_cluster::Planes;
 use apenet_core::config::GpuTxVersion;
 use apenet_gpu::GpuArch;
 use apenet_obs::breakdown;
@@ -45,10 +44,13 @@ pub struct ReadStageRow {
 pub fn read_stages(sizes: &[u64]) -> Vec<ReadStageRow> {
     sweep::map(sizes, |&size| {
         let cfg = plx_node(GpuArch::Fermi2050, GpuTxVersion::V2, 32 * 1024);
-        let sink = SharedSink::capturing();
-        let (bw, records) =
-            flush_read_with_trace(cfg, BufSide::Gpu, size, count_for(size), Some(sink));
-        let s = summarize_p2p_read(&records, bw.first_submit).expect("read traffic captured");
+        let planes = Planes {
+            pcie: Some(SharedSink::capturing()),
+            ..Planes::off()
+        };
+        let (bw, artifacts) = flush_read_with(cfg, BufSide::Gpu, size, count_for(size), planes);
+        let s =
+            summarize_p2p_read(&artifacts.pcie, bw.first_submit).expect("read traffic captured");
         ReadStageRow {
             size,
             setup_us: s.setup.as_us_f64(),
@@ -79,7 +81,7 @@ pub struct GgStageRow {
 /// The two-node G-G per-stage rows (Cluster I) for `sizes`.
 pub fn gg_stages(sizes: &[u64]) -> Vec<GgStageRow> {
     sweep::map(sizes, |&size| {
-        let (_bw, records) = two_node_instrumented(
+        let (_bw, artifacts) = two_node_with(
             cluster_i_default(),
             TwoNodeParams {
                 src: BufSide::Gpu,
@@ -88,8 +90,12 @@ pub fn gg_stages(sizes: &[u64]) -> Vec<GgStageRow> {
                 count: count_for(size),
                 staged: false,
             },
+            Planes {
+                trace: Some(SharedSink::capturing()),
+                ..Planes::off()
+            },
         );
-        let spans: Vec<_> = breakdown::collect(&records)
+        let spans: Vec<_> = breakdown::collect(&artifacts.trace)
             .into_iter()
             .filter(|sp| sp.delivered.is_some())
             .collect();

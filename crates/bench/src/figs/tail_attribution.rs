@@ -16,8 +16,9 @@
 //! messages — as a self-validating Perfetto trace.
 
 use crate::emit;
-use apenet_cluster::harness::{chaos_run_tail, ChaosParams, ChaosReport, TailReport};
+use apenet_cluster::harness::{chaos_run_with, ChaosParams, ChaosReport};
 use apenet_cluster::node::FaultPlan;
+use apenet_cluster::planes::{Planes, TailReport};
 use apenet_cluster::presets::{cluster_i_chaos, cluster_i_default, cluster_i_hard_fault};
 use apenet_core::coord::{LinkDir, TorusDims};
 use apenet_obs::latency::TailConfig;
@@ -64,7 +65,12 @@ pub fn regime(name: &str) -> (ChaosReport, TailReport) {
         }
         _ => unreachable!("unknown regime {name}"),
     };
-    chaos_run_tail(dims(), cfg, params(), tail_cfg())
+    let planes = Planes {
+        tail: Some(tail_cfg()),
+        ..Planes::off()
+    };
+    let (report, artifacts) = chaos_run_with(dims(), cfg, params(), planes);
+    (report, artifacts.tail.expect("tail plane on"))
 }
 
 /// Regenerate this experiment.

@@ -407,8 +407,9 @@ fn app_benches(h: &mut Harness) {
 /// card-model regression that only hurts the latency tail fails the
 /// gate even when the means stay flat.
 fn tail_benches(h: &mut Harness) {
-    use apenet_cluster::harness::{chaos_run_tail, ChaosParams};
+    use apenet_cluster::harness::{chaos_run_with, ChaosParams};
     use apenet_cluster::presets::cluster_i_default;
+    use apenet_cluster::Planes;
     use apenet_core::coord::TorusDims;
     use apenet_obs::digest::PercentileDigest;
     use apenet_obs::latency::{metrics as tail_metrics, TailConfig};
@@ -423,7 +424,11 @@ fn tail_benches(h: &mut Harness) {
     });
     let mut p99 = 0u64;
     h.bench("tail_plane_chaos_2x1", || {
-        let (_, t) = chaos_run_tail(
+        let planes = Planes {
+            tail: Some(TailConfig::default()),
+            ..Planes::off()
+        };
+        let (_, artifacts) = chaos_run_with(
             TorusDims::new(2, 1, 1),
             cluster_i_default(),
             ChaosParams {
@@ -431,9 +436,11 @@ fn tail_benches(h: &mut Harness) {
                 msg_len: 16 * 1024,
                 watchdog_reissue: false,
             },
-            TailConfig::default(),
+            planes,
         );
-        p99 = t
+        p99 = artifacts
+            .tail
+            .expect("tail plane on")
             .registry
             .digest(tail_metrics::TOTAL)
             .quantile(0.99)

@@ -6,18 +6,17 @@
 use apenet_bench::count_for;
 use apenet_bench::figs::latency_breakdown;
 use apenet_cluster::harness::{
-    chaos_run, chaos_run_sampled, flush_read_bandwidth, get_chaos_run, pingpong_instrumented,
-    pingpong_sampled_instrumented, two_node_bandwidth, two_node_instrumented, two_node_profiled,
-    BufSide, ChaosParams, TwoNodeParams,
+    chaos_run, chaos_run_with, flush_read_bandwidth, get_chaos_run, pingpong_with,
+    two_node_bandwidth, two_node_profiled, two_node_with, BufSide, ChaosParams, TwoNodeParams,
 };
 use apenet_cluster::presets::{cluster_i_chaos, cluster_i_default, plx_node};
-use apenet_cluster::OccupancySampler;
+use apenet_cluster::{OccupancySampler, Planes};
 use apenet_core::config::GpuTxVersion;
 use apenet_core::coord::{LinkDir, TorusDims};
 use apenet_gpu::GpuArch;
 use apenet_obs::perfetto;
 use apenet_sim::fault::FaultSpec;
-use apenet_sim::trace::kind;
+use apenet_sim::trace::{kind, SharedSink};
 use apenet_sim::{SimDuration, SimTime};
 
 fn chaos_cfg() -> apenet_cluster::NodeConfig {
@@ -40,16 +39,32 @@ fn chaos_params() -> ChaosParams {
     }
 }
 
+fn trace_plane() -> Planes {
+    Planes {
+        trace: Some(SharedSink::capturing()),
+        ..Planes::off()
+    }
+}
+
+fn sample_plane() -> Planes {
+    Planes {
+        sample: Some(SimDuration::from_us(2)),
+        ..Planes::off()
+    }
+}
+
 #[test]
 fn pingpong_perfetto_export_nests_and_parses() {
-    let (half_rtt, records) = pingpong_instrumented(
+    let (half_rtt, artifacts) = pingpong_with(
         cluster_i_default(),
         BufSide::Gpu,
         BufSide::Gpu,
         4096,
         4,
         false,
+        trace_plane(),
     );
+    let records = artifacts.trace;
     assert!(half_rtt.as_ps() > 0);
     assert!(!records.is_empty(), "tracing captured the exchange");
     // Both directions of the exchange carry spans: rank 0's and rank 1's
@@ -113,8 +128,8 @@ fn tracing_does_not_change_measurements() {
         staged: false,
     };
     let plain = two_node_bandwidth(cluster_i_default(), p);
-    let (traced, records) = two_node_instrumented(cluster_i_default(), p);
-    assert!(!records.is_empty());
+    let (traced, artifacts) = two_node_with(cluster_i_default(), p, trace_plane());
+    assert!(!artifacts.trace.is_empty());
     // BwResult is plain data: Debug formatting covers every field.
     assert_eq!(
         format!("{plain:?}"),
@@ -128,8 +143,8 @@ fn sampling_is_deterministic_and_never_perturbs() {
     let cfg = || cluster_i_chaos(0x5A3D_1E57, FaultSpec::chaos(1.0 / 50.0));
     let dims = TorusDims::new(2, 1, 1);
     let plain = chaos_run(dims, cfg(), chaos_params());
-    let mut s1 = OccupancySampler::new(SimDuration::from_us(2));
-    let sampled = chaos_run_sampled(dims, cfg(), chaos_params(), &mut s1);
+    let (sampled, artifacts) = chaos_run_with(dims, cfg(), chaos_params(), sample_plane());
+    let s1: OccupancySampler = artifacts.sampler.expect("sample plane on");
     // The sampler observes between events and schedules nothing: the
     // sampled run's report — end time, deliveries, every fault counter —
     // is identical to the unsampled run's. ChaosReport is plain data,
@@ -142,8 +157,8 @@ fn sampling_is_deterministic_and_never_perturbs() {
     assert!(s1.samples() > 0, "the run is long enough to tick");
     assert!(!s1.series().is_empty());
     // Same seed, same period: the recorded series are byte-identical.
-    let mut s2 = OccupancySampler::new(SimDuration::from_us(2));
-    let _ = chaos_run_sampled(dims, cfg(), chaos_params(), &mut s2);
+    let (_, artifacts) = chaos_run_with(dims, cfg(), chaos_params(), sample_plane());
+    let s2 = artifacts.sampler.expect("sample plane on");
     assert_eq!(
         s1.registry().snapshot_json(),
         s2.registry().snapshot_json(),
@@ -190,19 +205,24 @@ fn profiler_partitions_a_real_run_exactly() {
 fn sampled_pingpong_exports_valid_counter_tracks() {
     // The trace-export bin's exact recipe: spans and counter tracks from
     // one sampled ping-pong, merged into a single validated trace.
-    let mut sampler = OccupancySampler::new(SimDuration::from_us(2));
-    let (half_rtt, records) = pingpong_sampled_instrumented(
+    let planes = Planes {
+        sample: Some(SimDuration::from_us(2)),
+        ..trace_plane()
+    };
+    let (half_rtt, artifacts) = pingpong_with(
         cluster_i_default(),
         BufSide::Gpu,
         BufSide::Gpu,
         4096,
         4,
         false,
-        &mut sampler,
+        planes,
     );
     assert!(half_rtt.as_ps() > 0);
-    let mut events = perfetto::export(&records);
-    let series: Vec<_> = sampler
+    let mut events = perfetto::export(&artifacts.trace);
+    let series: Vec<_> = artifacts
+        .sampler
+        .expect("sample plane on")
         .series()
         .into_iter()
         .filter(|(_, pts)| pts.iter().any(|&(_, v)| v != 0))

@@ -4,12 +4,13 @@
 //! under clean, chaos and kill regimes, and the flight recorder
 //! retains (and eagerly dumps) the spans of typed-error messages.
 
-use apenet_cluster::harness::{chaos_run, chaos_run_tail, ChaosParams};
+use apenet_cluster::harness::{chaos_run, chaos_run_with, ChaosParams, ChaosReport};
 use apenet_cluster::msg::{HostApi, HostIn, HostProgram, NodeCtx};
 use apenet_cluster::node::FaultPlan;
+use apenet_cluster::planes::TailReport;
 use apenet_cluster::presets::{cluster_i_chaos, cluster_i_default, cluster_i_hard_fault};
 use apenet_cluster::Msg;
-use apenet_cluster::{ClusterBuilder, NodeConfig};
+use apenet_cluster::{ClusterBuilder, NodeConfig, Planes};
 use apenet_core::card::CardIn;
 use apenet_core::coord::{Coord, LinkDir, TorusDims};
 use apenet_obs::latency::{collect_ledgers, metrics as tail_metrics, Stage, TailConfig};
@@ -36,6 +37,16 @@ fn chaos_params() -> ChaosParams {
     }
 }
 
+/// A chaos run with the default tail plane attached.
+fn tailed_chaos_run(dims: TorusDims, cfg: NodeConfig, p: ChaosParams) -> (ChaosReport, TailReport) {
+    let planes = Planes {
+        tail: Some(TailConfig::default()),
+        ..Planes::off()
+    };
+    let (report, artifacts) = chaos_run_with(dims, cfg, p, planes);
+    (report, artifacts.tail.expect("tail plane on"))
+}
+
 #[test]
 fn tail_plane_is_invisible_to_the_chaos_report() {
     // Clean and chaos-plus-kill regimes, with and without the plane:
@@ -46,7 +57,7 @@ fn tail_plane_is_invisible_to_the_chaos_report() {
     for cfg in [cluster_i_default as fn() -> NodeConfig, chaos_cfg] {
         let dims = TorusDims::new(4, 2, 1);
         let plain = chaos_run(dims, cfg(), chaos_params());
-        let (tailed, tail) = chaos_run_tail(dims, cfg(), chaos_params(), TailConfig::default());
+        let (tailed, tail) = tailed_chaos_run(dims, cfg(), chaos_params());
         assert_eq!(
             format!("{plain:?}"),
             format!("{tailed:?}"),
@@ -58,12 +69,7 @@ fn tail_plane_is_invisible_to_the_chaos_report() {
 
 #[test]
 fn tail_registry_and_declared_ids_agree_both_ways() {
-    let (_, tail) = chaos_run_tail(
-        TorusDims::new(4, 2, 1),
-        chaos_cfg(),
-        chaos_params(),
-        TailConfig::default(),
-    );
+    let (_, tail) = tailed_chaos_run(TorusDims::new(4, 2, 1), chaos_cfg(), chaos_params());
     // Counters: everything published is declared, everything declared
     // is published (even at zero).
     let declared: std::collections::BTreeSet<&str> =
@@ -100,12 +106,7 @@ fn tail_registry_and_declared_ids_agree_both_ways() {
 fn stage_decompositions_telescope_across_regimes() {
     let dims = TorusDims::new(4, 2, 1);
     // Clean: every message lands, recovery stages are exactly zero.
-    let (r, t) = chaos_run_tail(
-        dims,
-        cluster_i_default(),
-        chaos_params(),
-        TailConfig::default(),
-    );
+    let (r, t) = tailed_chaos_run(dims, cluster_i_default(), chaos_params());
     assert_eq!(t.summary.messages(), r.expected);
     assert_eq!(t.summary.incomplete(), 0);
     for l in &t.summary.ledgers {
@@ -119,7 +120,7 @@ fn stage_decompositions_telescope_across_regimes() {
 
     // Soft chaos + a cable kill: replay and detour time show up, and
     // the decomposition still telescopes for every message.
-    let (r, t) = chaos_run_tail(dims, chaos_cfg(), chaos_params(), TailConfig::default());
+    let (r, t) = tailed_chaos_run(dims, chaos_cfg(), chaos_params());
     assert_eq!(t.summary.messages(), r.expected, "reissue delivers all");
     for l in &t.summary.ledgers {
         l.assert_telescopes();
@@ -152,7 +153,7 @@ fn stage_decompositions_telescope_across_regimes() {
     let mut cfg = cluster_i_hard_fault();
     cfg.faults =
         FaultPlan::none().kill_node(1, dims.coord_of(1), dims, SimTime::from_ps(10_000_000));
-    let (r, t) = chaos_run_tail(
+    let (r, t) = tailed_chaos_run(
         dims,
         cfg,
         ChaosParams {
@@ -160,7 +161,6 @@ fn stage_decompositions_telescope_across_regimes() {
             msg_len: 32 * 1024,
             watchdog_reissue: true,
         },
-        TailConfig::default(),
     );
     assert!(r.error_completions > 0, "the partition failed some PUTs");
     assert_eq!(t.summary.errors(), r.error_completions);
@@ -240,8 +240,12 @@ fn rx_ring_backpressure_is_attributed_to_ring_wait() {
         }),
     ];
     let sink = SharedSink::capturing();
+    let planes = Planes {
+        trace: Some(sink.clone()),
+        ..Planes::off()
+    };
     let mut cluster = ClusterBuilder::new(dims, cfg)
-        .with_trace(sink.clone())
+        .planes(planes)
         .build(programs);
     let end = cluster.run();
     // Reap the ring one entry at a time, well after the stream landed:

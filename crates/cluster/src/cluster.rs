@@ -2,13 +2,13 @@
 
 use crate::msg::{CardActor, ClusterActor, HostActor, HostIn, HostProgram, Msg, NodeCtx};
 use crate::node::{build_node, NodeConfig};
+use crate::planes::Planes;
+use crate::sampling::OccupancySampler;
 use apenet_core::card::{CardIn, CardShared};
 use apenet_core::coord::{LinkDir, TorusDims};
 use apenet_core::torus::{Port, TorusLink};
 use apenet_gpu::cuda::CudaDevice;
 use apenet_gpu::mem::Memory;
-use apenet_obs::latency::TailConfig;
-use apenet_obs::slo::SloConfig;
 use apenet_sim::engine::{ActorId, Sim};
 use apenet_sim::fault::{derive_seed, FaultInjector};
 use apenet_sim::trace::SharedSink;
@@ -23,7 +23,7 @@ pub struct NodeHandles {
     /// Host memory.
     pub hostmem: Rc<RefCell<Memory>>,
     /// The card-shared state (PCIe fabric, firmware, …) — lets tests and
-    /// figure harnesses attach bus analyzers or inspect registrations.
+    /// the occupancy sampler inspect fabrics and registrations.
     pub shared: CardShared,
 }
 
@@ -41,157 +41,37 @@ pub struct Cluster {
     pub cards: Vec<ActorId>,
     /// Per-node shareable handles.
     pub nodes: Vec<NodeHandles>,
-    /// The span-trace sink every card records into (null unless enabled
-    /// via [`ClusterBuilder::with_trace`] or the `APENET_TRACE` env var).
-    /// Drain with [`SharedSink::take`] after a run.
+    /// The span-trace sink every card and host records into (null unless
+    /// the `trace` plane is on or the tail/SLO planes forced a capture).
     pub trace: SharedSink,
+    /// The planes the cluster was built with.
+    pub(crate) planes: Planes,
+    /// The occupancy sampler [`Cluster::run`] ticks (`sample` plane).
+    pub(crate) sampler: Option<OccupancySampler>,
 }
 
 /// Builder for a torus of identical nodes.
 pub struct ClusterBuilder {
     dims: TorusDims,
     node_cfg: NodeConfig,
-    trace: Option<SharedSink>,
-}
-
-/// Resolve the trace sink requested by the `APENET_TRACE` env var:
-/// `"capture"` keeps every record (unbounded), `"ring:N"` keeps the last
-/// `N` in a ring buffer, any other non-empty non-`"0"` value defaults to
-/// `ring:65536`, and unset/empty/`"0"` disables tracing entirely.
-pub fn trace_sink_from_env() -> SharedSink {
-    match std::env::var("APENET_TRACE").ok().as_deref() {
-        None | Some("") | Some("0") => SharedSink::null(),
-        Some("capture") => SharedSink::capturing(),
-        Some(v) => match v
-            .strip_prefix("ring:")
-            .and_then(|n| n.parse::<usize>().ok())
-        {
-            Some(cap) => SharedSink::ring(cap),
-            None => SharedSink::ring(65_536),
-        },
-    }
-}
-
-/// Resolve the tail-forensics plane requested by the `APENET_TAIL` env
-/// var: unset/empty/`"0"`/`"off"` disables it, `"1"`/`"on"` enables the
-/// default (p99) configuration, and `"p50"`/`"p90"`/`"p99"`/`"p999"`
-/// pick the tail quantile — each optionally suffixed `":N"` to set the
-/// flight-recorder capacity (`"p999:256"`). Any other non-empty value
-/// falls back to the default, mirroring `APENET_TRACE`'s leniency.
-pub fn tail_from_env() -> Option<TailConfig> {
-    parse_tail(&std::env::var("APENET_TAIL").ok()?)
-}
-
-/// Parse one `APENET_TAIL` value (split from the env read so the
-/// grammar is unit-testable without process-global state).
-pub fn parse_tail(v: &str) -> Option<TailConfig> {
-    match v {
-        "" | "0" | "off" => None,
-        "1" | "on" => Some(TailConfig::default()),
-        v => {
-            let (quant, cap) = match v.split_once(':') {
-                Some((q, n)) => (q, n.parse::<usize>().ok()),
-                None => (v, None),
-            };
-            let mut cfg = match quant {
-                "p50" => TailConfig {
-                    quantile: 0.50,
-                    label: "p50",
-                    ..TailConfig::default()
-                },
-                "p90" => TailConfig {
-                    quantile: 0.90,
-                    label: "p90",
-                    ..TailConfig::default()
-                },
-                "p99" => TailConfig::default(),
-                "p999" => TailConfig {
-                    quantile: 0.999,
-                    label: "p999",
-                    ..TailConfig::default()
-                },
-                _ => TailConfig::default(),
-            };
-            if let Some(cap) = cap {
-                cfg.capacity = cap.max(1);
-            }
-            Some(cfg)
-        }
-    }
-}
-
-/// Resolve the streaming SLO plane requested by the `APENET_SLO` env
-/// var: unset/empty/`"0"`/`"off"` disables it, `"1"`/`"on"` enables the
-/// default objective (100 µs windows, 99 % of messages under 50 µs),
-/// and `"<window>[:<target_permille>[:<threshold>]]"` declares a custom
-/// one — durations take `us`/`ns` suffixes (bare numbers are µs),
-/// targets are permille (`990` = 99.0 % good). Malformed fields fall
-/// back to their defaults, mirroring `APENET_TAIL`'s leniency:
-/// `"500us:999:20us"` = 500 µs windows, 99.9 % target, 20 µs threshold.
-pub fn slo_from_env() -> Option<SloConfig> {
-    parse_slo(&std::env::var("APENET_SLO").ok()?)
-}
-
-/// One duration field of the `APENET_SLO` grammar (`"250us"`, `"800ns"`,
-/// bare `"250"` = µs). Zero and garbage are `None`.
-fn parse_slo_duration(s: &str) -> Option<SimDuration> {
-    let s = s.trim();
-    let (digits, unit_ps) = if let Some(n) = s.strip_suffix("us") {
-        (n, 1_000_000)
-    } else if let Some(n) = s.strip_suffix("ns") {
-        (n, 1_000)
-    } else {
-        (s, 1_000_000)
-    };
-    let n: u64 = digits.trim().parse().ok()?;
-    if n == 0 {
-        return None;
-    }
-    Some(SimDuration::from_ps(n * unit_ps))
-}
-
-/// Parse one `APENET_SLO` value (split from the env read so the grammar
-/// is unit-testable without process-global state).
-pub fn parse_slo(v: &str) -> Option<SloConfig> {
-    match v {
-        "" | "0" | "off" => None,
-        "1" | "on" => Some(SloConfig::default()),
-        v => {
-            let mut cfg = SloConfig::default();
-            let mut parts = v.split(':');
-            if let Some(w) = parts.next().and_then(parse_slo_duration) {
-                cfg.window = w;
-            }
-            if let Some(t) = parts.next().and_then(|s| s.trim().parse::<u32>().ok()) {
-                // A zero or ≥1000 target leaves no budget to burn —
-                // fall back rather than divide by zero later.
-                if t > 0 && t < 1000 {
-                    cfg.target_permille = t;
-                }
-            }
-            if let Some(th) = parts.next().and_then(parse_slo_duration) {
-                cfg.threshold = th;
-            }
-            Some(cfg)
-        }
-    }
+    planes: Planes,
 }
 
 impl ClusterBuilder {
-    /// A cluster of `dims` nodes configured by `node_cfg`.
+    /// A cluster of `dims` nodes configured by `node_cfg`, observed by
+    /// the planes the environment requests ([`Planes::from_env`]).
     pub fn new(dims: TorusDims, node_cfg: NodeConfig) -> Self {
         ClusterBuilder {
             dims,
             node_cfg,
-            trace: None,
+            planes: Planes::from_env(),
         }
     }
 
-    /// Record every card's span trace into `sink` (overrides the
-    /// `APENET_TRACE` env var). Tracing is pure observation: enabling it
-    /// never changes what the simulation schedules.
-    pub fn with_trace(mut self, sink: SharedSink) -> Self {
-        self.trace = Some(sink);
+    /// Observe the run with `planes` instead of the env's. Every plane
+    /// is pure observation: none changes what the simulation schedules.
+    pub fn planes(mut self, planes: Planes) -> Self {
+        self.planes = planes;
         self
     }
 
@@ -199,14 +79,12 @@ impl ClusterBuilder {
     /// `dims.nodes()` programs). Each host receives `HostIn::Start` at t=0.
     pub fn build(self, programs: Vec<Box<dyn HostProgram>>) -> Cluster {
         let dims = self.dims;
+        let planes = self.planes;
         assert_eq!(programs.len(), dims.nodes(), "one program per rank");
         let mut sim: Sim<Msg, ClusterActor> = Sim::new();
-        // APENET_PROFILE attaches the passive sim-time profiler: every
-        // event's gap and wall cost is bucketed by (actor, kind), with
-        // zero effect on the calendar. Harnesses that want the profile
-        // call `sim.take_profile()` after the run; everyone else just
-        // drops it with the Sim.
-        if std::env::var("APENET_PROFILE").is_ok_and(|v| !v.is_empty() && v != "0") {
+        // The passive sim-time profiler buckets every event's gap and
+        // wall cost by (actor, kind), with zero effect on the calendar.
+        if planes.profile {
             sim.attach_profiler(crate::msg::kind_of);
         }
         let mut built = Vec::new();
@@ -217,9 +95,22 @@ impl ClusterBuilder {
         // Pre-create torus links: one per (node, direction).
         let link_gbps = self.node_cfg.card.link_gbps;
         let link_lat = self.node_cfg.card.link_latency;
-        let trace = self.trace.clone().unwrap_or_else(trace_sink_from_env);
+        // The tail and SLO planes fold a span trace after the run, so
+        // they force an unbounded capture when tracing is otherwise off.
+        let trace = match &planes.trace {
+            Some(sink) => sink.clone(),
+            None if planes.tail.is_some() || planes.slo.is_some() => SharedSink::capturing(),
+            None => SharedSink::null(),
+        };
         for node in &mut built {
             node.card.set_trace(trace.clone());
+            if let Some(sink) = &planes.pcie {
+                let shared = &node.shared;
+                shared
+                    .fabric
+                    .borrow_mut()
+                    .attach_analyzer(shared.nic_dev, sink.clone());
+            }
             for dir in LinkDir::ALL {
                 let link = Rc::new(RefCell::new(TorusLink::new_gbps(link_gbps, link_lat)));
                 node.card.set_link(dir, link);
@@ -330,14 +221,25 @@ impl ClusterBuilder {
             cards,
             nodes: handles,
             trace,
+            sampler: planes.sample.map(OccupancySampler::new),
+            planes,
         }
     }
 }
 
 impl Cluster {
-    /// Run to quiescence and return the final time.
+    /// Run to quiescence and return the final time, ticking the
+    /// occupancy sampler when the `sample` plane is on (sampling never
+    /// changes a scheduled event, so the final time is the same).
     pub fn run(&mut self) -> SimTime {
-        self.sim.run()
+        match self.sampler.take() {
+            Some(mut sampler) => {
+                let end = self.run_sampled(&mut sampler);
+                self.sampler = Some(sampler);
+                end
+            }
+            None => self.sim.run(),
+        }
     }
 
     /// Run until `deadline`.
@@ -371,78 +273,5 @@ impl Cluster {
     pub fn wake_host_after(&mut self, rank: usize, delay: SimDuration, tag: u64) {
         let at = self.sim.now() + delay;
         self.wake_host(rank, at, tag);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn tail_grammar_disables_and_defaults() {
-        assert!(parse_tail("").is_none());
-        assert!(parse_tail("0").is_none());
-        assert!(parse_tail("off").is_none());
-        for v in ["1", "on", "garbage"] {
-            let cfg = parse_tail(v).expect("enabled");
-            assert_eq!(cfg.label, "p99");
-            assert_eq!(cfg.capacity, TailConfig::default().capacity);
-        }
-    }
-
-    #[test]
-    fn tail_grammar_quantiles_and_capacity() {
-        for (v, label, q) in [
-            ("p50", "p50", 0.50),
-            ("p90", "p90", 0.90),
-            ("p99", "p99", 0.99),
-            ("p999", "p999", 0.999),
-        ] {
-            let cfg = parse_tail(v).unwrap();
-            assert_eq!(cfg.label, label);
-            assert_eq!(cfg.quantile, q);
-        }
-        let cfg = parse_tail("p999:256").unwrap();
-        assert_eq!(cfg.label, "p999");
-        assert_eq!(cfg.capacity, 256);
-        // Bad capacity suffix: keep the quantile, default the capacity.
-        let cfg = parse_tail("p90:zap").unwrap();
-        assert_eq!(cfg.label, "p90");
-        assert_eq!(cfg.capacity, TailConfig::default().capacity);
-        // Capacity clamps to at least one retained span.
-        assert_eq!(parse_tail("p99:0").unwrap().capacity, 1);
-    }
-
-    #[test]
-    fn slo_grammar_disables_and_defaults() {
-        assert!(parse_slo("").is_none());
-        assert!(parse_slo("0").is_none());
-        assert!(parse_slo("off").is_none());
-        for v in ["1", "on"] {
-            assert_eq!(parse_slo(v), Some(SloConfig::default()));
-        }
-        // Lenient: a malformed value enables the plane with defaults.
-        assert_eq!(parse_slo("garbage"), Some(SloConfig::default()));
-    }
-
-    #[test]
-    fn slo_grammar_window_target_threshold() {
-        let cfg = parse_slo("500us:999:20us").unwrap();
-        assert_eq!(cfg.window, SimDuration::from_us(500));
-        assert_eq!(cfg.target_permille, 999);
-        assert_eq!(cfg.threshold, SimDuration::from_us(20));
-        // Bare numbers are µs; ns suffix scales down.
-        let cfg = parse_slo("250").unwrap();
-        assert_eq!(cfg.window, SimDuration::from_us(250));
-        assert_eq!(cfg.target_permille, SloConfig::default().target_permille);
-        let cfg = parse_slo("800ns:900").unwrap();
-        assert_eq!(cfg.window, SimDuration::from_ps(800_000));
-        assert_eq!(cfg.target_permille, 900);
-        // Malformed fields fall back field-by-field: a budgetless
-        // target (0 or ≥1000) keeps the default.
-        let cfg = parse_slo("100us:1000:zap").unwrap();
-        assert_eq!(cfg.window, SimDuration::from_us(100));
-        assert_eq!(cfg.target_permille, SloConfig::default().target_permille);
-        assert_eq!(cfg.threshold, SloConfig::default().threshold);
     }
 }

@@ -11,16 +11,18 @@
 //!   host staging (P2P=OFF);
 //! * [`pingpong_half_rtt`] — the Fig. 8/9 latency test (half round-trip);
 //! * sender-side submit intervals for the Fig. 10 host-overhead plot.
+//!
+//! Each workload whose callers want what the observation planes
+//! recorded has one `*_with(…, planes)` entry point returning its report
+//! plus the run's [`RunArtifacts`]; the plain entry points observe the
+//! run with the env's planes ([`Planes::from_env`]) and drop them.
 
-use crate::cluster::{slo_from_env, tail_from_env, trace_sink_from_env, Cluster, ClusterBuilder};
+use crate::cluster::{Cluster, ClusterBuilder};
 use crate::msg::{HostApi, HostIn, HostProgram, IdleProgram, NodeCtx};
 use crate::node::NodeConfig;
-use crate::sampling::OccupancySampler;
+use crate::planes::{Planes, RunArtifacts};
 use apenet_core::config::TxSinkMode;
 use apenet_core::coord::{Coord, TorusDims};
-use apenet_obs::alert::RuleSet;
-use apenet_obs::latency::{collect_ledgers, metrics as tail_metrics, TailConfig, TailSummary};
-use apenet_obs::recorder::{FlightRecorder, RetainReason};
 use apenet_obs::report::RunReport;
 use apenet_obs::slo::SloConfig;
 use apenet_obs::{CounterSnapshot, Registry};
@@ -30,7 +32,7 @@ use apenet_rdma::pacing::{self, Pacer, PacerConfig};
 use apenet_rdma::signal::{self, SendQueue, SignalConfig};
 use apenet_rdma::staging::{staged_put, staged_recv_finish};
 use apenet_sim::profile::SimProfile;
-use apenet_sim::trace::{kind as tk, SharedSink, SpanId, TraceRecord};
+use apenet_sim::trace::TraceRecord;
 use apenet_sim::{Bandwidth, SimDuration, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -101,6 +103,30 @@ struct StreamSender {
 }
 
 impl StreamSender {
+    /// A sender of `count` PUTs of `size` bytes from `src_addr` to
+    /// `peer`'s `dst_vaddr`, keeping eight outstanding.
+    fn new(
+        peer: Coord,
+        src: BufSide,
+        src_addr: u64,
+        dst_vaddr: u64,
+        size: u64,
+        count: u32,
+        records: Shared,
+    ) -> Self {
+        StreamSender {
+            peer,
+            src,
+            src_addr,
+            dst_vaddr,
+            size,
+            count,
+            window: 8,
+            issued: 0,
+            records,
+        }
+    }
+
     fn send_one(
         &mut self,
         node: &mut NodeCtx,
@@ -151,7 +177,6 @@ impl HostProgram for StreamSender {
 /// The receiving side: registers the destination buffer and records
 /// deliveries; optionally finishes staged receptions with an H2D copy.
 struct StreamReceiver {
-    dst: BufSide,
     dst_vaddr: u64,
     size: u64,
     /// For staged (P2P=OFF) reception: copy up to this GPU address.
@@ -179,7 +204,6 @@ impl HostProgram for StreamReceiver {
                 api.now
             };
             rec.completions.push((done, len));
-            let _ = self.dst;
         }
     }
 }
@@ -247,6 +271,60 @@ impl HostProgram for StagedSender {
     }
 }
 
+/// A host program built at start, once its node's memory can be
+/// allocated: `make` allocates and fills the buffers and returns the
+/// program, which then starts.
+struct Deferred<F, P> {
+    make: Option<F>,
+    inner: Option<P>,
+}
+
+fn deferred<F, P>(make: F) -> Box<dyn HostProgram>
+where
+    F: FnOnce(&mut NodeCtx) -> P + 'static,
+    P: HostProgram + 'static,
+{
+    Box::new(Deferred {
+        make: Some(make),
+        inner: None,
+    })
+}
+
+impl<F: FnOnce(&mut NodeCtx) -> P, P: HostProgram> HostProgram for Deferred<F, P> {
+    fn start(&mut self, node: &mut NodeCtx, api: &mut HostApi<'_, '_>) {
+        let make = self.make.take().expect("a program starts once");
+        self.inner.insert(make(node)).start(node, api);
+    }
+
+    fn on_event(&mut self, ev: HostIn, node: &mut NodeCtx, api: &mut HostApi<'_, '_>) {
+        if let Some(p) = &mut self.inner {
+            p.on_event(ev, node, api);
+        }
+    }
+}
+
+/// A sender and a receiver sharing one node (loop-back and
+/// bi-directional tests): deliveries go to the receiver, everything
+/// else to the sender.
+struct SendRecv {
+    send: StreamSender,
+    recv: StreamReceiver,
+}
+
+impl HostProgram for SendRecv {
+    fn start(&mut self, node: &mut NodeCtx, api: &mut HostApi<'_, '_>) {
+        self.recv.start(node, api);
+        self.send.start(node, api);
+    }
+
+    fn on_event(&mut self, ev: HostIn, node: &mut NodeCtx, api: &mut HostApi<'_, '_>) {
+        match ev {
+            HostIn::Delivered { .. } => self.recv.on_event(ev, node, api),
+            _ => self.send.on_event(ev, node, api),
+        }
+    }
+}
+
 /// Result of a bandwidth-style run.
 #[derive(Debug, Clone, Copy)]
 pub struct BwResult {
@@ -289,111 +367,34 @@ fn measure(records: &BenchRecords, size: u64) -> BwResult {
 
 /// Fig. 4 / Table I memory-read rows: single node, TX FIFO flushed.
 pub fn flush_read_bandwidth(node_cfg: NodeConfig, src: BufSide, size: u64, count: u32) -> BwResult {
-    flush_read_impl(node_cfg, src, size, count, None, None).0
+    flush_read_with(node_cfg, src, size, count, Planes::from_env()).0
 }
 
-/// [`flush_read_bandwidth`] with an optional bus-analyzer interposer on
-/// the card's PCIe uplink (the Fig. 3 setup); returns the capture.
-pub fn flush_read_with_trace(
-    node_cfg: NodeConfig,
-    src: BufSide,
-    size: u64,
-    count: u32,
-    sink: Option<SharedSink>,
-) -> (BwResult, Vec<TraceRecord>) {
-    let (bw, analyzer, _) = flush_read_impl(node_cfg, src, size, count, sink, None);
-    (bw, analyzer)
-}
-
-/// [`flush_read_bandwidth`] with the card's span trace enabled: returns
-/// the measurement plus every span-correlated record the datapath
-/// emitted (post → fetch → stage → tx-done), for per-stage breakdowns.
-pub fn flush_read_instrumented(
-    node_cfg: NodeConfig,
-    src: BufSide,
-    size: u64,
-    count: u32,
-) -> (BwResult, Vec<TraceRecord>) {
-    let (bw, _, spans) = flush_read_impl(
-        node_cfg,
-        src,
-        size,
-        count,
-        None,
-        Some(SharedSink::capturing()),
-    );
-    (bw, spans)
-}
-
-fn flush_read_impl(
+/// [`flush_read_bandwidth`] observed by `planes`. The Fig. 3 setup sets
+/// `pcie` to interpose a bus analyzer on the card's PCIe uplink.
+pub fn flush_read_with(
     mut node_cfg: NodeConfig,
     src: BufSide,
     size: u64,
     count: u32,
-    analyzer: Option<SharedSink>,
-    card_trace: Option<SharedSink>,
-) -> (BwResult, Vec<TraceRecord>, Vec<TraceRecord>) {
+    planes: Planes,
+) -> (BwResult, RunArtifacts) {
     node_cfg.card.tx_sink = TxSinkMode::Flush;
     let dims = TorusDims::new(1, 1, 1);
     let records: Shared = Rc::new(RefCell::new(BenchRecords::default()));
-    let sender = ProbeSetupSender {
-        inner: None,
-        src,
-        size,
-        count,
-        records: records.clone(),
-    };
-    let mut builder = ClusterBuilder::new(dims, node_cfg);
-    if let Some(t) = card_trace {
-        builder = builder.with_trace(t);
-    }
-    let mut cluster = builder.build(vec![Box::new(sender)]);
-    let sink = analyzer.unwrap_or_else(SharedSink::null);
-    if sink.enabled() {
-        let shared = &cluster.nodes[0].shared;
-        shared
-            .fabric
-            .borrow_mut()
-            .attach_analyzer(shared.nic_dev, sink.clone());
-    }
-    cluster.run_auto();
+    let rec = records.clone();
+    let sender = deferred(move |node| {
+        let src_addr = alloc_buf(node, src, size);
+        fill_buf(node, src, src_addr, size, 0xA5);
+        // Self-addressed: the flushed TX FIFO drops every message.
+        StreamSender::new(node.coord, src, src_addr, src_addr, size, count, rec)
+    });
+    let mut cluster = ClusterBuilder::new(dims, node_cfg)
+        .planes(planes)
+        .build(vec![sender]);
+    cluster.run();
     let r = records.borrow();
-    (measure(&r, size), sink.take(), cluster.trace.take())
-}
-
-/// Wrapper that allocates its buffers lazily at start (single-node tests).
-struct ProbeSetupSender {
-    inner: Option<StreamSender>,
-    src: BufSide,
-    size: u64,
-    count: u32,
-    records: Shared,
-}
-
-impl HostProgram for ProbeSetupSender {
-    fn start(&mut self, node: &mut NodeCtx, api: &mut HostApi<'_, '_>) {
-        let src_addr = alloc_buf(node, self.src, self.size);
-        fill_buf(node, self.src, src_addr, self.size, 0xA5);
-        let mut s = StreamSender {
-            peer: node.coord, // self: flushed or loop-back
-            src: self.src,
-            src_addr,
-            dst_vaddr: src_addr, // unused in flush mode
-            size: self.size,
-            count: self.count,
-            window: 8,
-            issued: 0,
-            records: self.records.clone(),
-        };
-        s.start(node, api);
-        self.inner = Some(s);
-    }
-
-    fn on_event(&mut self, ev: HostIn, node: &mut NodeCtx, api: &mut HostApi<'_, '_>) {
-        if let Some(s) = &mut self.inner {
-            s.on_event(ev, node, api);
-        }
-    }
+    (measure(&r, size), cluster.take_artifacts())
 }
 
 /// Single-node loop-back test (Table I loop-back rows, Fig. 5): the
@@ -407,17 +408,22 @@ pub fn loopback_bandwidth(
 ) -> BwResult {
     let dims = TorusDims::new(1, 1, 1);
     let records: Shared = Rc::new(RefCell::new(BenchRecords::default()));
-    let prog = LoopbackProgram {
-        sender: None,
-        receiver: None,
-        src,
-        dst,
-        size,
-        count,
-        records: records.clone(),
-    };
-    let mut cluster = ClusterBuilder::new(dims, node_cfg).build(vec![Box::new(prog)]);
-    cluster.run_auto();
+    let rec = records.clone();
+    let prog = deferred(move |node| {
+        let src_addr = alloc_buf(node, src, size);
+        let dst_addr = alloc_buf(node, dst, size);
+        fill_buf(node, src, src_addr, size, 0x3C);
+        let recv = StreamReceiver {
+            dst_vaddr: dst_addr,
+            size,
+            staged_gpu_dst: None,
+            records: rec.clone(),
+        };
+        let send = StreamSender::new(node.coord, src, src_addr, dst_addr, size, count, rec);
+        SendRecv { send, recv }
+    });
+    let mut cluster = ClusterBuilder::new(dims, node_cfg).build(vec![prog]);
+    cluster.run();
     let r = records.borrow();
     let comps = &r.deliveries;
     assert!(comps.len() >= 2);
@@ -428,62 +434,6 @@ pub fn loopback_bandwidth(
         submit_interval: SimDuration::ZERO,
         first_completion: comps[0],
         first_submit: r.submits.first().copied().unwrap_or(SimTime::ZERO),
-    }
-}
-
-/// Loop-back = a sender and a receiver sharing one node.
-struct LoopbackProgram {
-    sender: Option<StreamSender>,
-    receiver: Option<StreamReceiver>,
-    src: BufSide,
-    dst: BufSide,
-    size: u64,
-    count: u32,
-    records: Shared,
-}
-
-impl HostProgram for LoopbackProgram {
-    fn start(&mut self, node: &mut NodeCtx, api: &mut HostApi<'_, '_>) {
-        let src_addr = alloc_buf(node, self.src, self.size);
-        let dst_addr = alloc_buf(node, self.dst, self.size);
-        fill_buf(node, self.src, src_addr, self.size, 0x3C);
-        let mut recv = StreamReceiver {
-            dst: self.dst,
-            dst_vaddr: dst_addr,
-            size: self.size,
-            staged_gpu_dst: None,
-            records: self.records.clone(),
-        };
-        recv.start(node, api);
-        let mut send = StreamSender {
-            peer: node.coord,
-            src: self.src,
-            src_addr,
-            dst_vaddr: dst_addr,
-            size: self.size,
-            count: self.count,
-            window: 8,
-            issued: 0,
-            records: self.records.clone(),
-        };
-        send.start(node, api);
-        self.sender = Some(send);
-        self.receiver = Some(recv);
-    }
-
-    fn on_event(&mut self, ev: HostIn, node: &mut NodeCtx, api: &mut HostApi<'_, '_>) {
-        match &ev {
-            HostIn::Delivered { .. } => {
-                if let Some(r) = &mut self.receiver {
-                    r.on_event(ev, node, api);
-                }
-            }
-            _ => {
-                if let Some(s) = &mut self.sender {
-                    s.on_event(ev, node, api);
-                }
-            }
-        }
     }
 }
 
@@ -504,18 +454,7 @@ pub struct TwoNodeParams {
 
 /// Fig. 6/7 two-node uni-directional bandwidth test.
 pub fn two_node_bandwidth(node_cfg: NodeConfig, p: TwoNodeParams) -> BwResult {
-    two_node_impl(node_cfg, p, None, false).0
-}
-
-/// [`two_node_bandwidth`] with both cards' span traces enabled: returns
-/// the measurement plus the merged trace (sender fetch/stage/frame-tx and
-/// receiver frame-rx/rx-write/delivered records, span-correlated).
-pub fn two_node_instrumented(
-    node_cfg: NodeConfig,
-    p: TwoNodeParams,
-) -> (BwResult, Vec<TraceRecord>) {
-    let (bw, trace, _) = two_node_impl(node_cfg, p, Some(SharedSink::capturing()), false);
-    (bw, trace)
+    two_node_with(node_cfg, p, Planes::from_env()).0
 }
 
 /// [`two_node_bandwidth`] with the sim-time profiler attached: returns
@@ -523,58 +462,74 @@ pub fn two_node_instrumented(
 /// the run's simulated time — the Fig. 3/4-style "where do the
 /// nanoseconds go" view, computed instead of sampled.
 pub fn two_node_profiled(node_cfg: NodeConfig, p: TwoNodeParams) -> (BwResult, SimProfile) {
-    let (bw, _, prof) = two_node_impl(node_cfg, p, None, true);
-    (bw, prof.expect("profiler attached by two_node_impl"))
+    let planes = Planes {
+        profile: true,
+        ..Planes::from_env()
+    };
+    let (bw, artifacts) = two_node_with(node_cfg, p, planes);
+    (bw, artifacts.profile.expect("profile plane on"))
 }
 
-fn two_node_impl(
+/// [`two_node_bandwidth`] observed by `planes`. With `trace` on, the
+/// capture merges the sender's fetch/stage/frame-tx and the receiver's
+/// frame-rx/rx-write/delivered records, span-correlated.
+pub fn two_node_with(
     node_cfg: NodeConfig,
     p: TwoNodeParams,
-    trace: Option<SharedSink>,
-    profile: bool,
-) -> (BwResult, Vec<TraceRecord>, Option<SimProfile>) {
+    planes: Planes,
+) -> (BwResult, RunArtifacts) {
     let dims = TorusDims::new(2, 1, 1);
     let records: Shared = Rc::new(RefCell::new(BenchRecords::default()));
     // Destination addresses are deterministic: first allocation on the
     // receiver's memory. Compute them from the allocator's behaviour.
     let dst_vaddr = first_alloc_addr(&node_cfg, p.dst, p.size, p.staged);
-    let sender: Box<dyn HostProgram> = if p.staged && p.src == BufSide::Gpu {
-        Box::new(StagedSetupSender {
-            inner: None,
-            size: p.size,
-            count: p.count,
-            dst_vaddr,
-            records: records.clone(),
+    let rec = records.clone();
+    let sender = if p.staged && p.src == BufSide::Gpu {
+        deferred(move |node| {
+            let src_dev = alloc_buf(node, BufSide::Gpu, p.size);
+            let bounce = alloc_buf(node, BufSide::Host, p.size);
+            fill_buf(node, BufSide::Gpu, src_dev, p.size, 0x5A);
+            StagedSender {
+                peer: node.dims.coord_of(1),
+                src_dev,
+                bounce,
+                dst_vaddr,
+                size: p.size,
+                count: p.count,
+                issued: 0,
+                chunks_left: 0,
+                records: rec,
+            }
         })
     } else {
-        Box::new(TwoNodeSetupSender {
-            inner: None,
-            src: p.src,
-            size: p.size,
-            count: p.count,
-            dst_vaddr,
-            records: records.clone(),
+        deferred(move |node| {
+            let src_addr = alloc_buf(node, p.src, p.size);
+            fill_buf(node, p.src, src_addr, p.size, 0x5A);
+            let peer = node.dims.coord_of(1);
+            StreamSender::new(peer, p.src, src_addr, dst_vaddr, p.size, p.count, rec)
         })
     };
-    let receiver = Box::new(TwoNodeSetupReceiver {
-        inner: None,
-        dst: p.dst,
-        size: p.size,
-        staged: p.staged,
-        records: records.clone(),
+    let rec = records.clone();
+    let receiver = deferred(move |node| {
+        let (dst_vaddr, staged_gpu_dst) = if p.staged && p.dst == BufSide::Gpu {
+            let bounce = alloc_buf(node, BufSide::Host, p.size);
+            (bounce, Some(alloc_buf(node, BufSide::Gpu, p.size)))
+        } else {
+            (alloc_buf(node, p.dst, p.size), None)
+        };
+        StreamReceiver {
+            dst_vaddr,
+            size: p.size,
+            staged_gpu_dst,
+            records: rec,
+        }
     });
-    let mut builder = ClusterBuilder::new(dims, node_cfg);
-    if let Some(t) = trace {
-        builder = builder.with_trace(t);
-    }
-    let mut cluster = builder.build(vec![sender, receiver]);
-    if profile {
-        cluster.sim.attach_profiler(crate::msg::kind_of);
-    }
-    cluster.run_auto();
-    let prof = cluster.sim.take_profile();
+    let mut cluster = ClusterBuilder::new(dims, node_cfg)
+        .planes(planes)
+        .build(vec![sender, receiver]);
+    cluster.run();
     let r = records.borrow();
-    (measure(&r, p.size), cluster.trace.take(), prof)
+    (measure(&r, p.size), cluster.take_artifacts())
 }
 
 /// The address the first allocation of `size` bytes lands at.
@@ -588,111 +543,6 @@ fn first_alloc_addr(node_cfg: &NodeConfig, side: BufSide, size: u64, staged: boo
     }
 }
 
-struct TwoNodeSetupSender {
-    inner: Option<StreamSender>,
-    src: BufSide,
-    size: u64,
-    count: u32,
-    dst_vaddr: u64,
-    records: Shared,
-}
-
-impl HostProgram for TwoNodeSetupSender {
-    fn start(&mut self, node: &mut NodeCtx, api: &mut HostApi<'_, '_>) {
-        let src_addr = alloc_buf(node, self.src, self.size);
-        fill_buf(node, self.src, src_addr, self.size, 0x5A);
-        let mut s = StreamSender {
-            peer: node.dims.coord_of(1),
-            src: self.src,
-            src_addr,
-            dst_vaddr: self.dst_vaddr,
-            size: self.size,
-            count: self.count,
-            window: 8,
-            issued: 0,
-            records: self.records.clone(),
-        };
-        s.start(node, api);
-        self.inner = Some(s);
-    }
-
-    fn on_event(&mut self, ev: HostIn, node: &mut NodeCtx, api: &mut HostApi<'_, '_>) {
-        if let Some(s) = &mut self.inner {
-            s.on_event(ev, node, api);
-        }
-    }
-}
-
-struct StagedSetupSender {
-    inner: Option<StagedSender>,
-    size: u64,
-    count: u32,
-    dst_vaddr: u64,
-    records: Shared,
-}
-
-impl HostProgram for StagedSetupSender {
-    fn start(&mut self, node: &mut NodeCtx, api: &mut HostApi<'_, '_>) {
-        let src_dev = alloc_buf(node, BufSide::Gpu, self.size);
-        let bounce = alloc_buf(node, BufSide::Host, self.size);
-        fill_buf(node, BufSide::Gpu, src_dev, self.size, 0x5A);
-        let mut s = StagedSender {
-            peer: node.dims.coord_of(1),
-            src_dev,
-            bounce,
-            dst_vaddr: self.dst_vaddr,
-            size: self.size,
-            count: self.count,
-            issued: 0,
-            chunks_left: 0,
-            records: self.records.clone(),
-        };
-        s.start(node, api);
-        self.inner = Some(s);
-    }
-
-    fn on_event(&mut self, ev: HostIn, node: &mut NodeCtx, api: &mut HostApi<'_, '_>) {
-        if let Some(s) = &mut self.inner {
-            s.on_event(ev, node, api);
-        }
-    }
-}
-
-struct TwoNodeSetupReceiver {
-    inner: Option<StreamReceiver>,
-    dst: BufSide,
-    size: u64,
-    staged: bool,
-    records: Shared,
-}
-
-impl HostProgram for TwoNodeSetupReceiver {
-    fn start(&mut self, node: &mut NodeCtx, api: &mut HostApi<'_, '_>) {
-        let (dst_vaddr, staged_gpu_dst) = if self.staged && self.dst == BufSide::Gpu {
-            let bounce = alloc_buf(node, BufSide::Host, self.size);
-            let gpu = alloc_buf(node, BufSide::Gpu, self.size);
-            (bounce, Some(gpu))
-        } else {
-            (alloc_buf(node, self.dst, self.size), None)
-        };
-        let mut r = StreamReceiver {
-            dst: self.dst,
-            dst_vaddr,
-            size: self.size,
-            staged_gpu_dst,
-            records: self.records.clone(),
-        };
-        r.start(node, api);
-        self.inner = Some(r);
-    }
-
-    fn on_event(&mut self, ev: HostIn, node: &mut NodeCtx, api: &mut HostApi<'_, '_>) {
-        if let Some(r) = &mut self.inner {
-            r.on_event(ev, node, api);
-        }
-    }
-}
-
 /// Ping-pong latency test: returns the half round-trip time.
 pub fn pingpong_half_rtt(
     node_cfg: NodeConfig,
@@ -702,70 +552,21 @@ pub fn pingpong_half_rtt(
     iters: u32,
     staged: bool,
 ) -> SimDuration {
-    pingpong_impl(node_cfg, src, dst, size, iters, staged, None, None).0
+    pingpong_with(node_cfg, src, dst, size, iters, staged, Planes::from_env()).0
 }
 
-/// [`pingpong_half_rtt`] with both cards' span traces enabled: returns
-/// the latency plus the span-correlated trace of every PUT in the
-/// exchange (the input to the Perfetto exporter and the latency
-/// breakdown report).
-pub fn pingpong_instrumented(
+/// [`pingpong_half_rtt`] observed by `planes`. With `trace` and `sample`
+/// on, spans and occupancy series share one timeline — the input to the
+/// Perfetto exporter (counter tracks under the message slices).
+pub fn pingpong_with(
     node_cfg: NodeConfig,
     src: BufSide,
     dst: BufSide,
     size: u64,
     iters: u32,
     staged: bool,
-) -> (SimDuration, Vec<TraceRecord>) {
-    pingpong_impl(
-        node_cfg,
-        src,
-        dst,
-        size,
-        iters,
-        staged,
-        Some(SharedSink::capturing()),
-        None,
-    )
-}
-
-/// [`pingpong_instrumented`] with an [`OccupancySampler`] ticking
-/// through the same run: spans and occupancy series share one timeline,
-/// which is what the Perfetto export wants (counter tracks under the
-/// message slices).
-#[allow(clippy::too_many_arguments)]
-pub fn pingpong_sampled_instrumented(
-    node_cfg: NodeConfig,
-    src: BufSide,
-    dst: BufSide,
-    size: u64,
-    iters: u32,
-    staged: bool,
-    sampler: &mut OccupancySampler,
-) -> (SimDuration, Vec<TraceRecord>) {
-    pingpong_impl(
-        node_cfg,
-        src,
-        dst,
-        size,
-        iters,
-        staged,
-        Some(SharedSink::capturing()),
-        Some(sampler),
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn pingpong_impl(
-    node_cfg: NodeConfig,
-    src: BufSide,
-    dst: BufSide,
-    size: u64,
-    iters: u32,
-    staged: bool,
-    trace: Option<SharedSink>,
-    sampler: Option<&mut OccupancySampler>,
-) -> (SimDuration, Vec<TraceRecord>) {
+    planes: Planes,
+) -> (SimDuration, RunArtifacts) {
     let dims = TorusDims::new(2, 1, 1);
     let records: Shared = Rc::new(RefCell::new(BenchRecords::default()));
     let peer_dst = first_alloc_addr(&node_cfg, dst, size, staged);
@@ -795,15 +596,10 @@ fn pingpong_impl(
         timer_start: None,
         records: records.clone(),
     });
-    let mut builder = ClusterBuilder::new(dims, node_cfg);
-    if let Some(t) = trace {
-        builder = builder.with_trace(t);
-    }
-    let mut cluster = builder.build(vec![initiator, responder]);
-    match sampler {
-        Some(s) => cluster.run_sampled(s),
-        None => cluster.run_auto(),
-    };
+    let mut cluster = ClusterBuilder::new(dims, node_cfg)
+        .planes(planes)
+        .build(vec![initiator, responder]);
+    cluster.run();
     let r = records.borrow();
     // completions[0] is the timer start (after warm-up); the last is the
     // final pong. Each iteration is one full round trip.
@@ -816,7 +612,7 @@ fn pingpong_impl(
         .since(r.completions[0].0);
     (
         span / (2 * (r.completions.len() as u64 - 1)),
-        cluster.trace.take(),
+        cluster.take_artifacts(),
     )
 }
 
@@ -935,69 +731,11 @@ impl HostProgram for PingPongProgram {
     }
 }
 
-/// A node that both streams to its peer and receives (the bi-directional
-/// test the paper alludes to: "the APEnet+ bi-directional bandwidth …
-/// will reflect a similar behaviour" to the loop-back plot, §IV).
-struct BidirProgram {
-    src: BufSide,
-    dst: BufSide,
-    size: u64,
-    count: u32,
-    peer_rank: usize,
-    dst_vaddr: u64,
-    sender: Option<StreamSender>,
-    receiver: Option<StreamReceiver>,
-    records: Shared,
-}
-
-impl HostProgram for BidirProgram {
-    fn start(&mut self, node: &mut NodeCtx, api: &mut HostApi<'_, '_>) {
-        // Allocation order matches on both ranks: dst first, then src.
-        let dst_addr = alloc_buf(node, self.dst, self.size);
-        let src_addr = alloc_buf(node, self.src, self.size);
-        fill_buf(node, self.src, src_addr, self.size, node.rank as u8);
-        let mut recv = StreamReceiver {
-            dst: self.dst,
-            dst_vaddr: dst_addr,
-            size: self.size,
-            staged_gpu_dst: None,
-            records: self.records.clone(),
-        };
-        recv.start(node, api);
-        let mut send = StreamSender {
-            peer: node.dims.coord_of(self.peer_rank),
-            src: self.src,
-            src_addr,
-            dst_vaddr: self.dst_vaddr,
-            size: self.size,
-            count: self.count,
-            window: 8,
-            issued: 0,
-            records: self.records.clone(),
-        };
-        send.start(node, api);
-        self.sender = Some(send);
-        self.receiver = Some(recv);
-    }
-
-    fn on_event(&mut self, ev: HostIn, node: &mut NodeCtx, api: &mut HostApi<'_, '_>) {
-        match &ev {
-            HostIn::Delivered { .. } => {
-                if let Some(r) = &mut self.receiver {
-                    r.on_event(ev, node, api);
-                }
-            }
-            _ => {
-                if let Some(s) = &mut self.sender {
-                    s.on_event(ev, node, api);
-                }
-            }
-        }
-    }
-}
-
-/// Two-node bi-directional bandwidth: both nodes stream simultaneously;
-/// returns the *aggregate* (sum of both directions) steady bandwidth.
+/// Two-node bi-directional bandwidth: both nodes stream to each other
+/// simultaneously (the bi-directional test the paper alludes to: "the
+/// APEnet+ bi-directional bandwidth … will reflect a similar behaviour"
+/// to the loop-back plot, §IV); returns the *aggregate* (sum of both
+/// directions) steady bandwidth.
 pub fn two_node_bidir_bandwidth(
     node_cfg: NodeConfig,
     src: BufSide,
@@ -1010,21 +748,26 @@ pub fn two_node_bidir_bandwidth(
     let dst_vaddr = first_alloc_addr(&node_cfg, dst, size, false);
     let programs: Vec<Box<dyn HostProgram>> = (0..2)
         .map(|rank| {
-            Box::new(BidirProgram {
-                src,
-                dst,
-                size,
-                count,
-                peer_rank: 1 - rank,
-                dst_vaddr,
-                sender: None,
-                receiver: None,
-                records: records.clone(),
-            }) as Box<dyn HostProgram>
+            let rec = records.clone();
+            deferred(move |node| {
+                // Allocation order matches on both ranks: dst first, then src.
+                let dst_addr = alloc_buf(node, dst, size);
+                let src_addr = alloc_buf(node, src, size);
+                fill_buf(node, src, src_addr, size, node.rank as u8);
+                let recv = StreamReceiver {
+                    dst_vaddr: dst_addr,
+                    size,
+                    staged_gpu_dst: None,
+                    records: rec.clone(),
+                };
+                let peer = node.dims.coord_of(1 - rank);
+                let send = StreamSender::new(peer, src, src_addr, dst_vaddr, size, count, rec);
+                SendRecv { send, recv }
+            })
         })
         .collect();
     let mut cluster = ClusterBuilder::new(dims, node_cfg).build(programs);
-    cluster.run_auto();
+    cluster.run();
     let r = records.borrow();
     // Deliveries from both directions interleave; aggregate rate over the
     // combined completion stream.
@@ -1118,99 +861,22 @@ pub struct ChaosReport {
     pub metrics: CounterSnapshot,
 }
 
-/// The tail-forensics side channel of a chaos run: the per-message
-/// latency ledgers and blame attribution, the flight recorder holding
-/// full traces of the tail and error spans, and the plane's *own*
-/// metrics registry. Keeping the tail counters and digests out of the
-/// run registry is what makes the plane zero-perturbation by
-/// construction — [`ChaosReport`] is bit-identical with the plane on or
-/// off, which the report-equality test pins.
-#[derive(Debug)]
-pub struct TailReport {
-    /// Ledgers, tail set and dominant-stage blame.
-    pub summary: TailSummary,
-    /// Full span traces retained for the tail and error messages.
-    pub recorder: FlightRecorder,
-    /// The tail plane's private registry: every `tail.*` counter and
-    /// `latency.*` digest, snapshot with `registry.snapshot_json()`.
-    pub registry: Registry,
-}
-
-impl TailReport {
-    /// Render the deterministic report section for one regime: the
-    /// summary's attribution tables plus the recorder's retention line.
-    pub fn render(&self, title: &str) -> String {
-        let mut out = self.summary.render(title);
-        out.push_str(&format!(
-            "flight recorder: {} span(s) retained, {} evicted, fault dump: {}\n",
-            self.recorder.len(),
-            self.recorder.evicted(),
-            if self.recorder.fault_dump().is_some() {
-                "frozen"
-            } else {
-                "none"
-            },
-        ));
-        out
-    }
-}
-
-/// Typed error spans of a finished run: watchdog escalations surface on
-/// completion queues; a completion parked on a full RX event ring that
-/// the host never drained shows as an RX_HELD record with no delivery.
-/// Shared by the tail and SLO planes so both attribute identically.
-fn typed_error_spans(cluster: &Cluster, records: &[TraceRecord]) -> Vec<(SpanId, &'static str)> {
-    let mut errors: Vec<(SpanId, &'static str)> = Vec::new();
-    for r in 0..cluster.dims.nodes() {
-        for (m, _, e) in cluster.host(r).node.cq.errors() {
-            let label = match e {
-                CompletionError::Unreachable => "unreachable",
-            };
-            errors.push((m.span(), label));
-        }
-    }
-    let delivered_spans: std::collections::BTreeSet<SpanId> = records
-        .iter()
-        .filter(|r| r.kind == tk::DELIVERED)
-        .filter_map(|r| r.span)
-        .collect();
-    let held: std::collections::BTreeSet<SpanId> = records
-        .iter()
-        .filter(|r| r.kind == tk::RX_HELD)
-        .filter_map(|r| r.span)
-        .collect();
-    for &s in held.difference(&delivered_spans) {
-        if !errors.iter().any(|&(e, _)| e == s) {
-            errors.push((s, "rx-ring-full"));
-        }
-    }
-    errors.sort_unstable();
-    errors
-}
-
-/// Fold a span capture into the streaming SLO engine: ledgers with
-/// typed errors attached, tumbling windows, budget evaluation, and the
-/// alert timeline — all published into the report's own registry.
-fn build_slo_report(
-    records: &[TraceRecord],
-    errors: &[(SpanId, &'static str)],
-    cfg: SloConfig,
-) -> RunReport {
-    let mut ledgers = collect_ledgers(records);
-    for l in &mut ledgers {
-        if let Some(&(_, e)) = errors.iter().find(|(s, _)| *s == l.span) {
-            l.error = Some(e);
-        }
-    }
-    RunReport::build(&ledgers, cfg, &RuleSet::default())
-}
-
 /// A re-issuable chaos descriptor: the verb decides how the watchdog
 /// hands an expired message back to the card.
 #[derive(Debug, Clone)]
 enum ChaosDesc {
     Put(apenet_core::card::TxDesc),
     Get(apenet_core::card::GetDesc),
+}
+
+impl ChaosDesc {
+    /// Hand the descriptor to the card `delay` from now.
+    fn submit(self, api: &mut HostApi<'_, '_>, delay: SimDuration) {
+        match self {
+            ChaosDesc::Put(d) => api.submit(delay, d),
+            ChaosDesc::Get(d) => api.submit_get(delay, d),
+        }
+    }
 }
 
 struct ChaosShared {
@@ -1222,20 +888,83 @@ struct ChaosShared {
     /// Escalated messages routed back to their source rank, to complete
     /// with a typed error on that rank's completion queue.
     failed: Vec<std::collections::VecDeque<apenet_core::packet::MsgId>>,
-    /// Per-rank send-queue moderation models (GET runs only; empty on
-    /// PUT runs).
+    /// Per-rank send-queue moderation models (GET chaos runs only;
+    /// empty otherwise).
     sendqs: Vec<SendQueue>,
 }
 
+impl ChaosShared {
+    /// Record a delivery: disarm its watchdog and retire its send-queue
+    /// WQE (GET chaos runs).
+    fn deliver(&mut self, rank: usize, msg: apenet_core::packet::MsgId) {
+        self.delivered.insert(msg);
+        self.watchdog.disarm(&msg);
+        if let Some(sq) = self.sendqs.get_mut(rank) {
+            sq.complete(&msg);
+            reap_if_due(sq);
+        }
+    }
+
+    /// Watchdog duty on a wake-up of `rank`: route every globally-expired
+    /// message to its source rank (the watchdog re-armed each with a
+    /// backed-off deadline), re-issue this rank's own, and complete its
+    /// escalated ones with a typed error on its completion queue — the
+    /// watchdog's bounded give-up is never a silent drop. An escalated
+    /// GET still retires its WQE so the batch behind it can drain.
+    fn poll_watchdog(&mut self, rank: usize, node: &mut NodeCtx, api: &mut HostApi<'_, '_>) {
+        let ex = self.watchdog.poll_expired(api.now);
+        for msg in ex.reissue {
+            let desc = self.descs[&msg].clone();
+            self.reissue[msg.src_rank as usize].push_back(desc);
+        }
+        for msg in ex.failed {
+            self.failed[msg.src_rank as usize].push_back(msg);
+        }
+        while let Some(desc) = self.reissue[rank].pop_front() {
+            desc.submit(api, SimDuration::ZERO);
+        }
+        while let Some(msg) = self.failed[rank].pop_front() {
+            node.cq
+                .push_error(msg, api.now, CompletionError::Unreachable);
+            if let Some(sq) = self.sendqs.get_mut(rank) {
+                sq.complete(&msg);
+                reap_if_due(sq);
+            }
+        }
+    }
+
+    /// Anything in the cluster still armed or queued for re-issue or
+    /// escalation — reason to keep polling.
+    fn busy(&self) -> bool {
+        self.watchdog.outstanding() > 0
+            || self.reissue.iter().any(|q| !q.is_empty())
+            || self.failed.iter().any(|q| !q.is_empty())
+    }
+}
+
+/// Reap `sq` at the latest when its CQ is half full, so moderation keeps
+/// retiring in batches without ever overflowing the depth.
+fn reap_if_due(sq: &mut SendQueue) {
+    if sq.cq_occupancy() * 2 >= sq.cq_depth().max(1) {
+        let _ = sq.reap();
+    }
+}
+
+/// One rank of the chaos ring. PUT: stream the TX region into the ring
+/// successor's RX region. GET: *read* the successor's TX region into
+/// this rank's RX region with one-sided GETs, posting each through
+/// send-queue moderation (selective signaling + doorbell batching); the
+/// requester is the completion side, so the watchdog, re-issue and
+/// Unreachable escalation all run here — composed with whatever the
+/// fault plan does to the request and reply streams.
 struct ChaosRank {
     rank: u32,
     msgs: u32,
     msg_len: u64,
+    get: bool,
     reissue: bool,
     poll: SimDuration,
     peer: Coord,
-    tx_buf: u64,
-    rx_buf: u64,
     shared: Rc<RefCell<ChaosShared>>,
 }
 
@@ -1248,199 +977,43 @@ fn chaos_byte(src_rank: u32, off: u64) -> u8 {
         ^ 0x5A
 }
 
-impl ChaosRank {
-    fn pump(&mut self, node: &mut NodeCtx, api: &mut HostApi<'_, '_>) {
-        let mut sh = self.shared.borrow_mut();
-        // Route every globally-expired message to its source rank (the
-        // watchdog re-armed each with a backed-off deadline), then drain
-        // this rank's own queues. Escalated messages complete with a
-        // typed error on their source rank's completion queue — the
-        // watchdog's bounded give-up is never a silent drop.
-        let ex = sh.watchdog.poll_expired(api.now);
-        for msg in ex.reissue {
-            let desc = sh.descs[&msg].clone();
-            sh.reissue[msg.src_rank as usize].push_back(desc);
-        }
-        for msg in ex.failed {
-            sh.failed[msg.src_rank as usize].push_back(msg);
-        }
-        while let Some(desc) = sh.reissue[self.rank as usize].pop_front() {
-            match desc {
-                ChaosDesc::Put(d) => api.submit(SimDuration::ZERO, d),
-                ChaosDesc::Get(d) => api.submit_get(SimDuration::ZERO, d),
-            }
-        }
-        while let Some(msg) = sh.failed[self.rank as usize].pop_front() {
-            node.cq.push_error(
-                msg,
-                api.now,
-                apenet_rdma::completion::CompletionError::Unreachable,
-            );
-        }
-        // Keep polling while anything in the cluster is still armed.
-        if sh.watchdog.outstanding() > 0
-            || sh.reissue.iter().any(|q| !q.is_empty())
-            || sh.failed.iter().any(|q| !q.is_empty())
-        {
-            api.wake(self.poll, 0);
-        }
-    }
-}
-
 impl HostProgram for ChaosRank {
     fn start(&mut self, node: &mut NodeCtx, api: &mut HostApi<'_, '_>) {
         let region = (self.msgs as u64 * self.msg_len).max(1);
         // Allocation order is identical on every rank, so this rank's RX
-        // address equals its peer's — senders can address peer memory
+        // and TX addresses equal its peer's — ranks can name peer memory
         // without an out-of-band exchange.
-        self.rx_buf = node.cuda[0].borrow_mut().malloc(region).unwrap();
-        self.tx_buf = node.cuda[0].borrow_mut().malloc(region).unwrap();
-        node.ep.register(self.rx_buf, region).unwrap();
-        node.ep.register(self.tx_buf, region).unwrap();
+        let rx_buf = node.cuda[0].borrow_mut().malloc(region).unwrap();
+        let tx_buf = node.cuda[0].borrow_mut().malloc(region).unwrap();
+        node.ep.register(rx_buf, region).unwrap();
+        node.ep.register(tx_buf, region).unwrap();
         let data: Vec<u8> = (0..region).map(|o| chaos_byte(self.rank, o)).collect();
-        node.cuda[0]
-            .borrow_mut()
-            .mem
-            .write(self.tx_buf, &data)
-            .unwrap();
+        node.cuda[0].borrow_mut().mem.write(tx_buf, &data).unwrap();
         for i in 0..self.msgs {
-            let off = i as u64 * self.msg_len;
-            let out = node
-                .ep
-                .put(
-                    self.tx_buf + off,
-                    self.msg_len,
-                    self.peer,
-                    self.rx_buf + off,
-                    SrcHint::Gpu,
-                )
-                .unwrap();
-            let mut sh = self.shared.borrow_mut();
-            sh.watchdog.arm(out.desc.msg, api.now);
-            sh.descs
-                .insert(out.desc.msg, ChaosDesc::Put(out.desc.clone()));
-            drop(sh);
-            api.submit(out.host_cost, out.desc);
-        }
-        if self.reissue {
-            api.wake(self.poll, 0);
-        }
-    }
-
-    fn on_event(&mut self, ev: HostIn, node: &mut NodeCtx, api: &mut HostApi<'_, '_>) {
-        match ev {
-            HostIn::Delivered { msg, .. } => {
-                let mut sh = self.shared.borrow_mut();
-                sh.delivered.insert(msg);
-                sh.watchdog.disarm(&msg);
-            }
-            HostIn::Wake(_) if self.reissue => self.pump(node, api),
-            _ => {}
-        }
-    }
-}
-
-/// The GET-verb chaos rank: every rank *reads* its ring successor's TX
-/// region into its own RX buffer with one-sided GETs, posting each GET
-/// through send-queue moderation (selective signaling + doorbell
-/// batching). The requester is the completion side, so the watchdog,
-/// re-issue and Unreachable escalation all run here — composed with
-/// whatever the fault plan does to the request and reply streams.
-struct GetChaosRank {
-    rank: u32,
-    msgs: u32,
-    msg_len: u64,
-    reissue: bool,
-    poll: SimDuration,
-    peer: Coord,
-    tx_buf: u64,
-    rx_buf: u64,
-    shared: Rc<RefCell<ChaosShared>>,
-}
-
-impl GetChaosRank {
-    fn reap_if_due(sh: &mut ChaosShared, rank: usize) {
-        let sq = &mut sh.sendqs[rank];
-        // Reap at the latest when the CQ is half full, so moderation
-        // keeps retiring in batches without ever overflowing the depth.
-        if sq.cq_occupancy() * 2 >= sq.cq_depth().max(1) {
-            let _ = sq.reap();
-        }
-    }
-
-    fn pump(&mut self, node: &mut NodeCtx, api: &mut HostApi<'_, '_>) {
-        let mut sh = self.shared.borrow_mut();
-        let ex = sh.watchdog.poll_expired(api.now);
-        for msg in ex.reissue {
-            let desc = sh.descs[&msg].clone();
-            sh.reissue[msg.src_rank as usize].push_back(desc);
-        }
-        for msg in ex.failed {
-            sh.failed[msg.src_rank as usize].push_back(msg);
-        }
-        while let Some(desc) = sh.reissue[self.rank as usize].pop_front() {
-            match desc {
-                ChaosDesc::Put(d) => api.submit(SimDuration::ZERO, d),
-                ChaosDesc::Get(d) => api.submit_get(SimDuration::ZERO, d),
-            }
-        }
-        while let Some(msg) = sh.failed[self.rank as usize].pop_front() {
-            node.cq.push_error(
-                msg,
-                api.now,
-                apenet_rdma::completion::CompletionError::Unreachable,
-            );
-            // An escalated GET still terminates its WQE: the error
-            // completion retires it so the batch behind it can drain.
-            sh.sendqs[self.rank as usize].complete(&msg);
-            Self::reap_if_due(&mut sh, self.rank as usize);
-        }
-        if sh.watchdog.outstanding() > 0
-            || sh.reissue.iter().any(|q| !q.is_empty())
-            || sh.failed.iter().any(|q| !q.is_empty())
-        {
-            api.wake(self.poll, 0);
-        }
-    }
-}
-
-impl HostProgram for GetChaosRank {
-    fn start(&mut self, node: &mut NodeCtx, api: &mut HostApi<'_, '_>) {
-        let region = (self.msgs as u64 * self.msg_len).max(1);
-        // Identical allocation order on every rank: this rank's TX
-        // address equals its peer's, so requesters can name remote
-        // source memory without an out-of-band exchange.
-        self.rx_buf = node.cuda[0].borrow_mut().malloc(region).unwrap();
-        self.tx_buf = node.cuda[0].borrow_mut().malloc(region).unwrap();
-        node.ep.register(self.rx_buf, region).unwrap();
-        node.ep.register(self.tx_buf, region).unwrap();
-        let data: Vec<u8> = (0..region).map(|o| chaos_byte(self.rank, o)).collect();
-        node.cuda[0]
-            .borrow_mut()
-            .mem
-            .write(self.tx_buf, &data)
-            .unwrap();
-        for i in 0..self.msgs {
-            let off = i as u64 * self.msg_len;
-            let out = node
-                .ep
-                .get(
-                    self.rx_buf + off,
-                    self.msg_len,
-                    self.peer,
-                    self.tx_buf + off,
-                    SrcHint::Gpu,
-                )
-                .unwrap();
-            let msg = out.desc.msg;
+            let (off, len, peer) = (i as u64 * self.msg_len, self.msg_len, self.peer);
+            let (msg, desc, host_cost) = if self.get {
+                let out = node
+                    .ep
+                    .get(rx_buf + off, len, peer, tx_buf + off, SrcHint::Gpu)
+                    .unwrap();
+                (out.desc.msg, ChaosDesc::Get(out.desc), out.host_cost)
+            } else {
+                let out = node
+                    .ep
+                    .put(tx_buf + off, len, peer, rx_buf + off, SrcHint::Gpu)
+                    .unwrap();
+                (out.desc.msg, ChaosDesc::Put(out.desc), out.host_cost)
+            };
             let mut sh = self.shared.borrow_mut();
             sh.watchdog.arm(msg, api.now);
-            sh.descs.insert(msg, ChaosDesc::Get(out.desc.clone()));
-            // The last post of the burst is force-signaled so the tail
-            // of unsignaled WQEs always retires.
-            sh.sendqs[self.rank as usize].post(msg, i + 1 == self.msgs);
+            sh.descs.insert(msg, desc.clone());
+            if let Some(sq) = sh.sendqs.get_mut(self.rank as usize) {
+                // The last post of the burst is force-signaled so the
+                // tail of unsignaled WQEs always retires.
+                sq.post(msg, i + 1 == self.msgs);
+            }
             drop(sh);
-            api.submit_get(out.host_cost, out.desc);
+            desc.submit(api, host_cost);
         }
         if self.reissue {
             api.wake(self.poll, 0);
@@ -1448,15 +1021,15 @@ impl HostProgram for GetChaosRank {
     }
 
     fn on_event(&mut self, ev: HostIn, node: &mut NodeCtx, api: &mut HostApi<'_, '_>) {
+        let mut sh = self.shared.borrow_mut();
         match ev {
-            HostIn::Delivered { msg, .. } => {
-                let mut sh = self.shared.borrow_mut();
-                sh.delivered.insert(msg);
-                sh.watchdog.disarm(&msg);
-                sh.sendqs[self.rank as usize].complete(&msg);
-                Self::reap_if_due(&mut sh, self.rank as usize);
+            HostIn::Delivered { msg, .. } => sh.deliver(self.rank as usize, msg),
+            HostIn::Wake(_) if self.reissue => {
+                sh.poll_watchdog(self.rank as usize, node, api);
+                if sh.busy() {
+                    api.wake(self.poll, 0);
+                }
             }
-            HostIn::Wake(_) if self.reissue => self.pump(node, api),
             _ => {}
         }
     }
@@ -1469,41 +1042,19 @@ impl HostProgram for GetChaosRank {
 /// deliveries, duplicate completions, byte-exactness of every destination
 /// region, card quiescence and the fault/recovery counter totals.
 pub fn chaos_run(dims: TorusDims, node_cfg: NodeConfig, p: ChaosParams) -> ChaosReport {
-    chaos_run_impl(dims, node_cfg, p, None, None, None, None).0
+    chaos_run_with(dims, node_cfg, p, Planes::from_env()).0
 }
 
-/// [`chaos_run`] with the streaming SLO engine attached: alongside the
-/// (unchanged) chaos report, returns the [`RunReport`] — tumbling
-/// windows over the per-message latency stream, exact error-budget
-/// accounting against the declared objective, and the deterministic
-/// alert timeline. Like the tail plane, the engine forces a trace
-/// capture when `APENET_TRACE` is off and publishes only into its own
-/// registry, so the chaos report is identical to [`chaos_run`]'s.
-pub fn chaos_run_slo(
+/// [`chaos_run`] observed by `planes`. The tail and SLO planes publish
+/// only into their own registries and no plane schedules anything, so
+/// the report is identical to [`chaos_run`]'s with any planes on.
+pub fn chaos_run_with(
     dims: TorusDims,
     node_cfg: NodeConfig,
     p: ChaosParams,
-    cfg: SloConfig,
-) -> (ChaosReport, RunReport) {
-    let (report, _, slo) = chaos_run_impl(dims, node_cfg, p, None, None, None, Some(cfg));
-    (report, slo.expect("slo plane requested"))
-}
-
-/// [`chaos_run`] with the tail-forensics plane attached: alongside the
-/// (unchanged) chaos report, returns the [`TailReport`] — per-message
-/// stage ledgers, tail attribution, and the flight recorder holding
-/// full traces of the tail and error spans. The plane forces a trace
-/// capture when `APENET_TRACE` is off, but everything it records and
-/// publishes stays out of the run's schedule and registry, so the
-/// chaos report is identical to [`chaos_run`]'s.
-pub fn chaos_run_tail(
-    dims: TorusDims,
-    node_cfg: NodeConfig,
-    p: ChaosParams,
-    cfg: TailConfig,
-) -> (ChaosReport, TailReport) {
-    let (report, tail, _) = chaos_run_impl(dims, node_cfg, p, None, None, Some(cfg), None);
-    (report, tail.expect("tail plane requested"))
+    planes: Planes,
+) -> (ChaosReport, RunArtifacts) {
+    chaos_impl(dims, node_cfg, p, None, planes)
 }
 
 /// [`chaos_run`] with the GET verb: every rank *reads* its ring
@@ -1518,39 +1069,17 @@ pub fn get_chaos_run(
     p: ChaosParams,
     sig: SignalConfig,
 ) -> ChaosReport {
-    chaos_run_impl(dims, node_cfg, p, None, Some(sig), None, None).0
+    chaos_impl(dims, node_cfg, p, Some(sig), Planes::from_env()).0
 }
 
-/// [`chaos_run`] with an explicit [`OccupancySampler`] ticking through
-/// the run — the congestion-heatmap harness uses this to record the
-/// per-port wire-byte and queue-depth series while the fault plan does
-/// its worst. Sampling never changes the schedule, so the report is
-/// identical to an unsampled run's.
-pub fn chaos_run_sampled(
-    dims: TorusDims,
-    node_cfg: NodeConfig,
-    p: ChaosParams,
-    sampler: &mut OccupancySampler,
-) -> ChaosReport {
-    chaos_run_impl(dims, node_cfg, p, Some(sampler), None, None, None).0
-}
-
-fn chaos_run_impl(
-    dims: TorusDims,
-    node_cfg: NodeConfig,
-    p: ChaosParams,
-    sampler: Option<&mut OccupancySampler>,
-    get_verb: Option<SignalConfig>,
-    tail: Option<TailConfig>,
-    slo: Option<SloConfig>,
-) -> (ChaosReport, Option<TailReport>, Option<RunReport>) {
-    let n = dims.nodes();
-    assert!(n >= 2, "the ring workload needs at least two nodes");
-    // Every counter the report quotes flows through this per-run
-    // registry: the watchdog mirrors its alarms in, each card publishes
-    // its link-reliability totals after the run, and the send queues
-    // mirror their signaling activity. The signaling ids are pre-created
-    // at zero so PUT runs publish the full id set too.
+/// The per-run state every chaos and incast run starts from. Every
+/// counter a report quotes flows through the returned private registry:
+/// the watchdog mirrors its alarms in, each card publishes its
+/// link-reliability totals after the run, and send queues and pacers
+/// mirror their activity. The signaling and pacing ids are pre-created
+/// at zero so every run publishes the full id set. Also returns the
+/// watchdog poll period.
+fn run_state(node_cfg: &NodeConfig, n: usize) -> (Registry, SimDuration, ChaosShared) {
     let reg = Registry::new();
     signal::register_metrics(&reg);
     pacing::register_metrics(&reg);
@@ -1558,77 +1087,87 @@ fn chaos_run_impl(
     let poll = SimDuration::from_ps((wd_cfg.timeout.as_ps() / 4).max(1));
     let mut watchdog = apenet_rdma::driver::Watchdog::new(wd_cfg);
     watchdog.attach_metrics(&reg);
-    let is_get = get_verb.is_some();
-    let sendqs: Vec<SendQueue> = match &get_verb {
-        Some(sig) => (0..n)
-            .map(|_| {
-                let mut sq = SendQueue::new(sig.clone());
-                sq.attach_metrics(&reg);
-                sq
-            })
-            .collect(),
-        None => Vec::new(),
-    };
-    let shared = Rc::new(RefCell::new(ChaosShared {
+    let shared = ChaosShared {
         watchdog,
         delivered: Default::default(),
         descs: Default::default(),
         reissue: (0..n).map(|_| Default::default()).collect(),
         failed: (0..n).map(|_| Default::default()).collect(),
-        sendqs,
-    }));
+        sendqs: Vec::new(),
+    };
+    (reg, poll, shared)
+}
+
+/// Completion-queue and card totals over every rank of a finished run.
+struct RankTotals {
+    duplicates: u64,
+    error_completions: u64,
+    last_delivery: SimTime,
+    quiesced: bool,
+}
+
+/// Sum every rank's completion queue and card state; each card also
+/// publishes its link counters into `reg`.
+fn rank_totals(cluster: &Cluster, reg: &Registry) -> RankTotals {
+    let mut t = RankTotals {
+        duplicates: 0,
+        error_completions: 0,
+        last_delivery: SimTime::ZERO,
+        quiesced: true,
+    };
+    for r in 0..cluster.dims.nodes() {
+        let cq = &cluster.host(r).node.cq;
+        t.duplicates += cq.duplicate_count();
+        t.error_completions += cq.error_count() as u64;
+        if let Some(at) = cq.last_delivery() {
+            t.last_delivery = t.last_delivery.max(at);
+        }
+        let card = cluster.card(r).card();
+        t.quiesced &= card.quiesced();
+        card.publish_link_metrics(reg);
+    }
+    t
+}
+
+fn chaos_impl(
+    dims: TorusDims,
+    node_cfg: NodeConfig,
+    p: ChaosParams,
+    get_verb: Option<SignalConfig>,
+    planes: Planes,
+) -> (ChaosReport, RunArtifacts) {
+    let n = dims.nodes();
+    assert!(n >= 2, "the ring workload needs at least two nodes");
+    let (reg, poll, mut state) = run_state(&node_cfg, n);
+    let is_get = get_verb.is_some();
+    if let Some(sig) = &get_verb {
+        state.sendqs = (0..n)
+            .map(|_| {
+                let mut sq = SendQueue::new(sig.clone());
+                sq.attach_metrics(&reg);
+                sq
+            })
+            .collect();
+    }
+    let shared = Rc::new(RefCell::new(state));
     let programs: Vec<Box<dyn HostProgram>> = (0..n)
         .map(|r| {
-            if is_get {
-                Box::new(GetChaosRank {
-                    rank: r as u32,
-                    msgs: p.msgs_per_rank,
-                    msg_len: p.msg_len,
-                    reissue: p.watchdog_reissue,
-                    poll,
-                    peer: dims.coord_of((r + 1) % n),
-                    tx_buf: 0,
-                    rx_buf: 0,
-                    shared: shared.clone(),
-                }) as Box<dyn HostProgram>
-            } else {
-                Box::new(ChaosRank {
-                    rank: r as u32,
-                    msgs: p.msgs_per_rank,
-                    msg_len: p.msg_len,
-                    reissue: p.watchdog_reissue,
-                    poll,
-                    peer: dims.coord_of((r + 1) % n),
-                    tx_buf: 0,
-                    rx_buf: 0,
-                    shared: shared.clone(),
-                }) as Box<dyn HostProgram>
-            }
+            Box::new(ChaosRank {
+                rank: r as u32,
+                msgs: p.msgs_per_rank,
+                msg_len: p.msg_len,
+                get: is_get,
+                reissue: p.watchdog_reissue,
+                poll,
+                peer: dims.coord_of((r + 1) % n),
+                shared: shared.clone(),
+            }) as Box<dyn HostProgram>
         })
         .collect();
-    // The tail and SLO planes (explicit from `chaos_run_tail`/
-    // `chaos_run_slo`, or requested via `APENET_TAIL`/`APENET_SLO` on
-    // any chaos entry point) fold a span trace after the run: honor
-    // whatever sink `APENET_TRACE` asks for, forcing an unbounded
-    // capture only when tracing is otherwise off. Tracing is pure
-    // observation, so the schedule — and the chaos report — are
-    // unchanged either way.
-    let tail = tail.or_else(tail_from_env);
-    let slo = slo.or_else(slo_from_env);
-    let mut builder = ClusterBuilder::new(dims, node_cfg);
-    if tail.is_some() || slo.is_some() {
-        let sink = trace_sink_from_env();
-        builder = builder.with_trace(if sink.enabled() {
-            sink
-        } else {
-            SharedSink::capturing()
-        });
-    }
-    let mut cluster = builder.build(programs);
-    let end = match sampler {
-        Some(s) => cluster.run_sampled(s),
-        None => cluster.run_auto(),
-    };
+    let mut cluster = ClusterBuilder::new(dims, node_cfg)
+        .planes(planes)
+        .build(programs);
+    let end = cluster.run();
 
     // Drain the send queues' final CQEs and collect retirement totals
     // before taking the long immutable borrow below.
@@ -1697,21 +1236,7 @@ fn chaos_run_impl(
         }
     }
 
-    let mut duplicates = 0;
-    let mut quiesced = true;
-    let mut last_delivery = SimTime::ZERO;
-    let mut error_completions = 0;
-    for r in 0..n {
-        let cq = &cluster.host(r).node.cq;
-        duplicates += cq.duplicate_count();
-        error_completions += cq.error_count() as u64;
-        if let Some(t) = cq.last_delivery() {
-            last_delivery = last_delivery.max(t);
-        }
-        let card = cluster.card(r).card();
-        quiesced &= card.quiesced();
-        card.publish_link_metrics(&reg);
-    }
+    let totals = rank_totals(&cluster, &reg);
     let metrics = reg.counters();
     use apenet_core::card::metrics as lm;
     use apenet_rdma::driver::metrics as wm;
@@ -1719,13 +1244,13 @@ fn chaos_run_impl(
     let report = ChaosReport {
         expected: n as u64 * p.msgs_per_rank as u64,
         delivered: sh.delivered.len() as u64,
-        duplicates,
+        duplicates: totals.duplicates,
         payload_ok,
-        quiesced,
+        quiesced: totals.quiesced,
         watchdog_fired: metrics.get(wm::FIRED),
         watchdog_reissues: metrics.get(wm::REISSUES),
         watchdog_failed: metrics.get(wm::UNREACHABLE),
-        error_completions,
+        error_completions: totals.error_completions,
         dead_links: metrics.get(lm::LINK_DEAD),
         detours: metrics.get(lm::ROUTE_DETOUR),
         unreachable_drops: metrics.get(lm::ROUTE_UNREACHABLE),
@@ -1742,7 +1267,7 @@ fn chaos_run_impl(
             metrics.get(lm::INJECTED_STALLS),
         ),
         stall_ps: metrics.get(lm::STALL_PS),
-        last_delivery,
+        last_delivery: totals.last_delivery,
         end,
         cq_signaled: metrics.get(sm::CQ_SIGNALED),
         doorbell_batched: metrics.get(sm::DOORBELL_BATCHED),
@@ -1751,51 +1276,7 @@ fn chaos_run_impl(
         metrics,
     };
 
-    // Fold the span capture into the tail and SLO planes, after the
-    // report is fully assembled. Both planes consume the same capture
-    // and the same typed-error extraction, so take the records once.
-    let (records, errors) = if tail.is_some() || slo.is_some() {
-        let records = cluster.trace.take();
-        let errors = typed_error_spans(&cluster, &records);
-        (records, errors)
-    } else {
-        (Vec::new(), Vec::new())
-    };
-    // The streaming SLO engine: published into the plane's own
-    // registry, never the run's.
-    let slo_report = slo.map(|cfg| build_slo_report(&records, &errors, cfg));
-    let tail_report = tail.map(|cfg| {
-        let summary = TailSummary::build(&records, &errors, cfg);
-        // Retain tail spans plus every error span, error reason winning
-        // when a span is both (the forensically stronger label).
-        let mut keep: std::collections::BTreeMap<SpanId, RetainReason> = summary
-            .tail
-            .iter()
-            .map(|&i| (summary.ledgers[i].span, RetainReason::Tail))
-            .collect();
-        for l in &summary.ledgers {
-            if let Some(e) = l.error {
-                keep.insert(l.span, RetainReason::Error(e));
-            }
-        }
-        let keep: Vec<(SpanId, RetainReason)> = keep.into_iter().collect();
-        let mut recorder = FlightRecorder::new(cfg.capacity);
-        recorder.ingest(&records, &keep);
-        let registry = Registry::new();
-        summary.publish(&registry);
-        registry
-            .counter(tail_metrics::RETAINED_SPANS)
-            .add(recorder.len() as u64);
-        registry
-            .counter(tail_metrics::DROPPED_SPANS)
-            .add(recorder.evicted());
-        TailReport {
-            summary,
-            recorder,
-            registry,
-        }
-    });
-    (report, tail_report, slo_report)
+    (report, cluster.take_artifacts())
 }
 
 // ---------------------------------------------------------------------------
@@ -1955,28 +1436,9 @@ impl IncastSender {
         }
         // Cluster-wide watchdog duty: route expired messages home, then
         // drain this rank's own re-issue and escalation queues.
-        {
-            let mut sh = self.shared.borrow_mut();
-            let ex = sh.watchdog.poll_expired(now);
-            for msg in ex.reissue {
-                let desc = sh.descs[&msg].clone();
-                sh.reissue[msg.src_rank as usize].push_back(desc);
-            }
-            for msg in ex.failed {
-                sh.failed[msg.src_rank as usize].push_back(msg);
-            }
-            while let Some(desc) = sh.reissue[self.rank as usize].pop_front() {
-                match desc {
-                    ChaosDesc::Put(d) => api.submit(SimDuration::ZERO, d),
-                    ChaosDesc::Get(d) => api.submit_get(SimDuration::ZERO, d),
-                }
-            }
-            let failed: Vec<_> = std::mem::take(&mut sh.failed[self.rank as usize]).into();
-            drop(sh);
-            for msg in failed {
-                node.cq.push_error(msg, now, CompletionError::Unreachable);
-            }
-        }
+        self.shared
+            .borrow_mut()
+            .poll_watchdog(self.rank as usize, node, api);
         self.settle(node, now);
         // Open-loop schedule, gated by the plane when armed.
         let mut backoff: Option<SimDuration> = None;
@@ -2044,10 +1506,7 @@ impl IncastSender {
                     sh.watchdog.arm(msg, now);
                     sh.descs.insert(msg, desc.clone());
                     drop(sh);
-                    match desc {
-                        ChaosDesc::Put(d) => api.submit(host_cost, d),
-                        ChaosDesc::Get(d) => api.submit_get(host_cost, d),
-                    }
+                    desc.submit(api, host_cost);
                 }
             }
         }
@@ -2055,12 +1514,7 @@ impl IncastSender {
         // owns the overdue schedule — re-polling sooner would just spin
         // on the closed gate), the next scheduled submit, or the
         // completion/watchdog poll.
-        let sh = self.shared.borrow();
-        let outstanding = !self.inflight.is_empty()
-            || sh.watchdog.outstanding() > 0
-            || sh.reissue.iter().any(|q| !q.is_empty())
-            || sh.failed.iter().any(|q| !q.is_empty());
-        drop(sh);
+        let outstanding = !self.inflight.is_empty() || self.shared.borrow().busy();
         let mut delay: Option<SimDuration> = backoff;
         if backoff.is_none() && self.next < self.msgs {
             let sched = self.due_at(self.next);
@@ -2116,10 +1570,7 @@ impl HostProgram for IncastSender {
         match ev {
             HostIn::Delivered { msg, .. } => {
                 // GET completions land on the requester: settle in place.
-                let mut sh = self.shared.borrow_mut();
-                sh.delivered.insert(msg);
-                sh.watchdog.disarm(&msg);
-                drop(sh);
+                self.shared.borrow_mut().deliver(self.rank as usize, msg);
                 self.inflight.retain(|m| *m != msg);
                 if let Some(p) = self.pacer.as_mut() {
                     p.on_complete(msg, api.now);
@@ -2168,9 +1619,7 @@ impl HostProgram for IncastTarget {
 
     fn on_event(&mut self, ev: HostIn, _node: &mut NodeCtx, _api: &mut HostApi<'_, '_>) {
         if let HostIn::Delivered { msg, .. } = ev {
-            let mut sh = self.shared.borrow_mut();
-            sh.delivered.insert(msg);
-            sh.watchdog.disarm(&msg);
+            self.shared.borrow_mut().deliver(0, msg);
         }
     }
 }
@@ -2183,25 +1632,22 @@ impl HostProgram for IncastTarget {
 /// [`chaos_run`]. The report carries goodput plus everything the
 /// collapse proofs need.
 pub fn incast_run(dims: TorusDims, node_cfg: NodeConfig, p: IncastParams) -> IncastReport {
-    incast_run_impl(dims, node_cfg, p, None).0
+    incast_run_with(dims, node_cfg, p, Planes::from_env()).0
 }
 
 /// [`incast_run`] with the streaming SLO engine attached: alongside the
 /// (unchanged) incast report, returns the [`RunReport`] evaluating the
 /// declared objective over the storm — the plane that proves the
 /// burn-rate pager fires during an unprotected collapse and stays
-/// silent when the overload plane survives it. The run's `cwnd.r*`
-/// time series are mirrored into the report's registry so viewers see
-/// congestion-window collapse next to the window p99 track.
+/// silent when the overload plane survives it.
 pub fn incast_run_slo(
     dims: TorusDims,
     node_cfg: NodeConfig,
     p: IncastParams,
     cfg: SloConfig,
 ) -> (IncastReport, RunReport) {
-    let (report, slo) = incast_run_impl(dims, node_cfg, p, Some(cfg));
-    let (slo, _) = slo.expect("slo plane requested");
-    (report, slo)
+    let (report, artifacts) = incast_run_with(dims, node_cfg, p, slo_planes(cfg));
+    (report, artifacts.slo.expect("slo plane on"))
 }
 
 /// [`incast_run_slo`] also handing back the raw span capture, for the
@@ -2212,37 +1658,38 @@ pub fn incast_run_slo_traced(
     p: IncastParams,
     cfg: SloConfig,
 ) -> (IncastReport, RunReport, Vec<TraceRecord>) {
-    let (report, slo) = incast_run_impl(dims, node_cfg, p, Some(cfg));
-    let (slo, records) = slo.expect("slo plane requested");
-    (report, slo, records)
+    let (report, artifacts) = incast_run_with(dims, node_cfg, p, slo_planes(cfg));
+    (
+        report,
+        artifacts.slo.expect("slo plane on"),
+        artifacts.trace,
+    )
 }
 
-fn incast_run_impl(
+/// The env's planes with the SLO engine held to `cfg`.
+fn slo_planes(cfg: SloConfig) -> Planes {
+    Planes {
+        slo: Some(cfg),
+        ..Planes::from_env()
+    }
+}
+
+/// [`incast_run`] observed by `planes`. With the SLO plane on, the run's
+/// `cwnd.r*` time series are mirrored into the SLO report's registry so
+/// viewers see congestion-window collapse next to the window p99 track.
+pub fn incast_run_with(
     dims: TorusDims,
     node_cfg: NodeConfig,
     p: IncastParams,
-    slo: Option<SloConfig>,
-) -> (IncastReport, Option<(RunReport, Vec<TraceRecord>)>) {
+    planes: Planes,
+) -> (IncastReport, RunArtifacts) {
     let n = dims.nodes();
     assert!(
         (p.senders as usize) < n,
         "rank 0 is the target; senders must fit in the remaining ranks"
     );
-    let reg = Registry::new();
-    signal::register_metrics(&reg);
-    pacing::register_metrics(&reg);
-    let wd_cfg = node_cfg.driver.watchdog.clone();
-    let poll = SimDuration::from_ps((wd_cfg.timeout.as_ps() / 4).max(1));
-    let mut watchdog = apenet_rdma::driver::Watchdog::new(wd_cfg);
-    watchdog.attach_metrics(&reg);
-    let shared = Rc::new(RefCell::new(ChaosShared {
-        watchdog,
-        delivered: Default::default(),
-        descs: Default::default(),
-        reissue: (0..n).map(|_| Default::default()).collect(),
-        failed: (0..n).map(|_| Default::default()).collect(),
-        sendqs: Vec::new(),
-    }));
+    let (reg, poll, state) = run_state(&node_cfg, n);
+    let shared = Rc::new(RefCell::new(state));
     // One message serializes on the wire in `msg_len · 8 / link_gbps`
     // ns; the aggregate offered rate is `offered`× that line rate,
     // split evenly, so each sender submits every
@@ -2289,21 +1736,10 @@ fn incast_run_impl(
             }
         })
         .collect();
-    // The SLO plane (explicit from `incast_run_slo`, or requested via
-    // `APENET_SLO` on any incast entry point) needs a span capture to
-    // fold; same zero-perturbation discipline as the chaos harness.
-    let slo = slo.or_else(slo_from_env);
-    let mut builder = ClusterBuilder::new(dims, node_cfg.clone());
-    if slo.is_some() {
-        let sink = trace_sink_from_env();
-        builder = builder.with_trace(if sink.enabled() {
-            sink
-        } else {
-            SharedSink::capturing()
-        });
-    }
-    let mut cluster = builder.build(programs);
-    let end = cluster.run_auto();
+    let mut cluster = ClusterBuilder::new(dims, node_cfg)
+        .planes(planes)
+        .build(programs);
+    let end = cluster.run();
 
     // Byte-exact verification of every delivered slot.
     let sh = shared.borrow();
@@ -2358,23 +1794,9 @@ fn incast_run_impl(
         }
     }
 
-    let mut duplicates = 0;
-    let mut quiesced = true;
-    let mut last_delivery = SimTime::ZERO;
-    let mut error_completions = 0;
-    for r in 0..n {
-        let cq = &cluster.host(r).node.cq;
-        duplicates += cq.duplicate_count();
-        error_completions += cq.error_count() as u64;
-        if let Some(t) = cq.last_delivery() {
-            last_delivery = last_delivery.max(t);
-        }
-        let card = cluster.card(r).card();
-        quiesced &= card.quiesced();
-        card.publish_link_metrics(&reg);
-    }
+    let totals = rank_totals(&cluster, &reg);
     let delivered = sh.delivered.len() as u64;
-    let span_ps = last_delivery.since(SimTime::ZERO).as_ps();
+    let span_ps = totals.last_delivery.since(SimTime::ZERO).as_ps();
     let goodput_mb_s = if span_ps == 0 {
         0.0
     } else {
@@ -2389,11 +1811,11 @@ fn incast_run_impl(
         offered: p.offered,
         expected: p.senders as u64 * p.msgs_per_sender as u64,
         delivered,
-        duplicates,
+        duplicates: totals.duplicates,
         payload_ok,
-        quiesced,
+        quiesced: totals.quiesced,
         goodput_mb_s,
-        last_delivery,
+        last_delivery: totals.last_delivery,
         end,
         ecn_marked: metrics.get(lm::ECN_MARKED),
         ecn_echoed: metrics.get(lm::ECN_ECHOED),
@@ -2404,15 +1826,13 @@ fn incast_run_impl(
         watchdog_fired: metrics.get(wm::FIRED),
         watchdog_reissues: metrics.get(wm::REISSUES),
         watchdog_failed: metrics.get(wm::UNREACHABLE),
-        error_completions,
+        error_completions: totals.error_completions,
         metrics,
     };
-    let slo_report = slo.map(|cfg| {
-        let records = cluster.trace.take();
-        let errors = typed_error_spans(&cluster, &records);
-        let slo = build_slo_report(&records, &errors, cfg);
-        // Mirror the run's pacer series into the plane's registry so
-        // `cwnd.r*` collapse renders next to the `window.p99` track.
+    let artifacts = cluster.take_artifacts();
+    // Mirror the run's pacer series into the SLO plane's registry so
+    // `cwnd.r*` collapse renders next to the `window.p99` track.
+    if let Some(slo) = &artifacts.slo {
         for id in reg.series_ids() {
             if id.starts_with("cwnd.") {
                 let dst = slo.registry.series(&id);
@@ -2421,9 +1841,8 @@ fn incast_run_impl(
                 }
             }
         }
-        (slo, records)
-    });
-    (report, slo_report)
+    }
+    (report, artifacts)
 }
 
 /// The single-flow baseline the collapse proofs normalise against: one
@@ -2533,9 +1952,7 @@ impl HostProgram for GetStreamRequester {
     fn on_event(&mut self, ev: HostIn, node: &mut NodeCtx, api: &mut HostApi<'_, '_>) {
         if let HostIn::Delivered { msg, len, .. } = ev {
             self.sendq.complete(&msg);
-            if self.sendq.cq_occupancy() * 2 >= self.sendq.cq_depth().max(1) {
-                let _ = self.sendq.reap();
-            }
+            reap_if_due(&mut self.sendq);
             self.records.borrow_mut().completions.push((api.now, len));
             if self.issued < self.count {
                 self.issue_one(node, api);
@@ -2585,7 +2002,7 @@ pub fn get_stream_bandwidth(node_cfg: NodeConfig, p: GetStreamParams) -> BwResul
     });
     let responder = Box::new(GetStreamResponder { size: p.size });
     let mut cluster = ClusterBuilder::new(dims, node_cfg).build(vec![requester, responder]);
-    cluster.run_auto();
+    cluster.run();
     let r = records.borrow();
     measure(&r, p.size)
 }

@@ -7,6 +7,9 @@
 //! * [`msg`] — the closed event type of a cluster simulation and the
 //!   actors adapting cards and hosts to the engine;
 //! * [`cluster`] — the torus-wired cluster builder;
+//! * [`planes`] — the observation planes (span trace, occupancy sampler,
+//!   profiler, tail forensics, SLO engine, PCIe bus analyzer): one
+//!   [`Planes`] value in, one [`RunArtifacts`] value out;
 //! * [`harness`] — the benchmark programs of §V coded against the RDMA
 //!   API: loop-back, uni-directional bandwidth, ping-pong latency, host
 //!   overhead;
@@ -21,10 +24,12 @@ pub mod cluster;
 pub mod harness;
 pub mod msg;
 pub mod node;
+pub mod planes;
 pub mod presets;
 pub mod sampling;
 
-pub use cluster::{tail_from_env, Cluster, ClusterBuilder};
+pub use cluster::{Cluster, ClusterBuilder};
 pub use msg::{ClusterActor, HostIn, HostProgram, Msg, NodeCtx};
 pub use node::NodeConfig;
+pub use planes::{Planes, RunArtifacts};
 pub use sampling::OccupancySampler;

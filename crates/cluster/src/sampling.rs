@@ -1,8 +1,9 @@
 //! Deterministic occupancy sampling: periodic read-only probes over a
 //! running cluster.
 //!
-//! The sampler is driven *between* calendar events: [`Cluster::run_sampled`]
-//! peeks at the next event time ([`apenet_sim::Sim::peek_next_at`]) and
+//! The sampler is driven *between* calendar events: a sampled
+//! [`Cluster::run`] peeks at the next event time
+//! ([`apenet_sim::Sim::peek_next_at`]) and
 //! fires every sample tick that falls strictly before it, then dispatches
 //! the event. A tick at simulated time `T` therefore observes the state
 //! left by every event with time ≤ `T` — and because nothing is ever
@@ -26,7 +27,6 @@
 
 use crate::cluster::Cluster;
 use apenet_core::coord::LinkDir;
-use apenet_obs::sampler::sample_period_from_env;
 use apenet_obs::Registry;
 use apenet_pcie::link::Dir;
 use apenet_sim::{SimDuration, SimTime};
@@ -61,12 +61,6 @@ impl OccupancySampler {
             samples: 0,
             reg: Registry::new(),
         }
-    }
-
-    /// Build from the `APENET_SAMPLE` env spec (see
-    /// [`apenet_obs::sampler`]); `None` when sampling is disabled.
-    pub fn from_env() -> Option<Self> {
-        sample_period_from_env().map(Self::new)
     }
 
     /// The sampling period.
@@ -152,11 +146,11 @@ impl OccupancySampler {
 }
 
 impl Cluster {
-    /// Run to quiescence like [`Cluster::run`], taking a sample every
-    /// period of simulated time (plus one final sample at the end so
-    /// cumulative counters cover the whole run). The final simulated
-    /// time — and every scheduled event — is identical to `run()`.
-    pub fn run_sampled(&mut self, sampler: &mut OccupancySampler) -> SimTime {
+    /// Run to quiescence, taking a sample every period of simulated
+    /// time (plus one final sample at the end so cumulative counters
+    /// cover the whole run). The final simulated time — and every
+    /// scheduled event — is identical to an unsampled run.
+    pub(crate) fn run_sampled(&mut self, sampler: &mut OccupancySampler) -> SimTime {
         while let Some(at) = self.sim.peek_next_at() {
             while sampler.next < at {
                 let tick = sampler.next;
@@ -170,16 +164,5 @@ impl Cluster {
             sampler.sample(end, self);
         }
         end
-    }
-
-    /// Run to quiescence, sampling iff `APENET_SAMPLE` enables it; the
-    /// sampler (and everything it recorded) is discarded. This is the
-    /// default run path of the figure harnesses: observation that the
-    /// golden digests prove has zero scheduling effect.
-    pub fn run_auto(&mut self) -> SimTime {
-        match OccupancySampler::from_env() {
-            Some(mut s) => self.run_sampled(&mut s),
-            None => self.sim.run(),
-        }
     }
 }

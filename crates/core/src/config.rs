@@ -72,7 +72,7 @@ impl Default for OverloadConfig {
 }
 
 impl OverloadConfig {
-    /// Parse the `APENET_OVERLOAD` grammar. Lenient like `APENET_TAIL`:
+    /// Parse the `APENET_OVERLOAD` grammar. Lenient:
     /// unset/empty/`0`/`off` disable the plane; `1`/`on` arm it with
     /// defaults; otherwise a comma-separated list of `port:<frames>` and
     /// `ring:<entries>` overrides, unknown or malformed items falling

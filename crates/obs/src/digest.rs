@@ -1,8 +1,7 @@
 //! Deterministic streaming percentile digests.
 //!
 //! The tail-forensics plane needs real quantiles — `p999` of a latency
-//! population, not the power-of-two *bucket bound* that
-//! [`apenet_sim::stats::LogHistogram::quantile_bound`] returns. This
+//! population, not the upper bound of a power-of-two bucket. This
 //! digest keeps every recorded value exactly while the population is
 //! small enough (the repro's event counts are, by orders of magnitude),
 //! so quantile queries are **exact nearest-rank** answers; past a fixed

@@ -315,7 +315,7 @@ pub fn collect_ledgers(records: &[TraceRecord]) -> Vec<MsgLedger> {
 }
 
 /// Tail-plane configuration (the `APENET_TAIL` env grammar lives in
-/// `apenet-cluster` next to `APENET_TRACE`'s).
+/// `apenet_cluster::planes` with the other observation planes').
 #[derive(Debug, Clone, Copy)]
 pub struct TailConfig {
     /// Messages at or above this total-latency quantile are "tail".

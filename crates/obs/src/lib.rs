@@ -7,9 +7,8 @@
 //! that every perf PR can use to prove where simulated nanoseconds go:
 //!
 //! * [`registry`] — a deterministic typed metrics registry (counters,
-//!   gauges, [`apenet_sim::stats::LogHistogram`]-backed latency
-//!   histograms, time-windowed bandwidth series) keyed by stable string
-//!   ids and snapshotted to sorted JSON.
+//!   percentile digests, sampled time series) keyed by stable string ids
+//!   and snapshotted to sorted JSON.
 //! * [`breakdown`] — folds span-correlated [`apenet_sim::trace`]
 //!   records into per-message phase decompositions (post → fetch →
 //!   wire → delivery).
@@ -27,8 +26,6 @@
 //!   counter tracks fed by the occupancy sampler — with a
 //!   dependency-free JSON sanity parser and a nesting/counter
 //!   validator used by CI.
-//! * [`sampler`] — the `APENET_SAMPLE` grammar shared by the
-//!   cluster-level occupancy sampler and its consumers.
 //! * [`heatmap`] — deterministic ASCII congestion heatmaps (per-link
 //!   utilization over time) rendered from sampled byte counters.
 //! * [`gate`] — the perf-regression comparator: fresh `BENCH_*.json`
@@ -63,12 +60,8 @@ pub mod perfetto;
 pub mod recorder;
 pub mod registry;
 pub mod report;
-pub mod sampler;
 pub mod slo;
 pub mod window;
 
 pub use error::ObsError;
-pub use registry::{
-    global, BandwidthSeries, Counter, CounterSnapshot, Digest, Gauge, Histogram, Registry,
-    TimeSeries,
-};
+pub use registry::{global, Counter, CounterSnapshot, Digest, Registry, TimeSeries};

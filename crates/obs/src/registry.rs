@@ -8,14 +8,12 @@
 //! schedule simulation events, so metrics-on runs stay byte-identical
 //! with metrics-off runs.
 //!
-//! Snapshots are sorted (BTreeMap order) and rendered with fixed
-//! float precision, so two runs of the same schedule serialize to the
-//! same bytes — snapshot JSON is diffable and digestable like every
+//! Snapshots are sorted (BTreeMap order), so two runs of the same
+//! schedule serialize to the same bytes — snapshot JSON is diffable and digestable like every
 //! other artifact in this repo.
 
 use crate::digest::PercentileDigest;
 use crate::error::ObsError;
-use apenet_sim::stats::LogHistogram;
 use apenet_sim::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -39,95 +37,6 @@ impl Counter {
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// Last-write-wins instantaneous value.
-#[derive(Debug, Clone, Default)]
-pub struct Gauge(Arc<AtomicU64>);
-
-impl Gauge {
-    /// Overwrite the gauge.
-    pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// Latency histogram backed by [`LogHistogram`] (power-of-two buckets).
-#[derive(Debug, Clone, Default)]
-pub struct Histogram(Arc<Mutex<LogHistogram>>);
-
-impl Histogram {
-    /// Record one value (typically a duration in picoseconds).
-    pub fn record(&self, v: u64) {
-        self.0.lock().unwrap().record(v);
-    }
-
-    /// Record a simulated duration in picoseconds.
-    pub fn record_duration(&self, d: SimDuration) {
-        self.record(d.as_ps());
-    }
-
-    /// Run `f` against the underlying histogram (count, quantiles, ...).
-    pub fn with<R>(&self, f: impl FnOnce(&LogHistogram) -> R) -> R {
-        f(&self.0.lock().unwrap())
-    }
-}
-
-#[derive(Debug, Default)]
-struct BwInner {
-    /// window index (simulated ps / window_ps) -> bytes moved in it.
-    buckets: Mutex<BTreeMap<u64, u64>>,
-}
-
-/// Time-windowed bandwidth series: bytes accounted into fixed windows
-/// of simulated time. Deterministic because windows are integer
-/// divisions of the (integer-picosecond) simulated clock.
-#[derive(Debug, Clone)]
-pub struct BandwidthSeries {
-    window_ps: u64,
-    inner: Arc<BwInner>,
-}
-
-impl BandwidthSeries {
-    fn new(window: SimDuration) -> Self {
-        BandwidthSeries {
-            window_ps: window.as_ps().max(1),
-            inner: Arc::default(),
-        }
-    }
-
-    /// Account `bytes` into the window containing simulated time `at`.
-    pub fn record(&self, at: SimTime, bytes: u64) {
-        let idx = at.as_ps() / self.window_ps;
-        *self.inner.buckets.lock().unwrap().entry(idx).or_insert(0) += bytes;
-    }
-
-    /// Window length.
-    pub fn window(&self) -> SimDuration {
-        SimDuration::from_ps(self.window_ps)
-    }
-
-    /// `(window_index, bytes)` points in window order.
-    pub fn points(&self) -> Vec<(u64, u64)> {
-        self.inner
-            .buckets
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(&k, &v)| (k, v))
-            .collect()
-    }
-
-    /// Mean MB/s over one window's byte count.
-    pub fn mb_per_sec(&self, bytes: u64) -> f64 {
-        let secs = self.window_ps as f64 * 1e-12;
-        bytes as f64 / secs / 1e6
     }
 }
 
@@ -208,10 +117,7 @@ impl Digest {
 #[derive(Debug, Clone)]
 enum Slot {
     Counter(Counter),
-    Gauge(Gauge),
-    Histogram(Histogram),
     Digest(Digest),
-    Bandwidth(BandwidthSeries),
     Series(TimeSeries),
 }
 
@@ -219,10 +125,7 @@ impl Slot {
     fn type_name(&self) -> &'static str {
         match self {
             Slot::Counter(_) => "counter",
-            Slot::Gauge(_) => "gauge",
-            Slot::Histogram(_) => "histogram",
             Slot::Digest(_) => "digest",
-            Slot::Bandwidth(_) => "bandwidth",
             Slot::Series(_) => "series",
         }
     }
@@ -303,34 +206,6 @@ impl Registry {
         self.try_counter(id).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Get or create the gauge `id`; `Err` on a type mismatch.
-    pub fn try_gauge(&self, id: &str) -> Result<Gauge, ObsError> {
-        match self.slot(id, || Slot::Gauge(Gauge::default())) {
-            Slot::Gauge(g) => Ok(g),
-            other => Err(Self::mismatch(id, "gauge", &other)),
-        }
-    }
-
-    /// Get or create the gauge `id` (panics on a type mismatch).
-    pub fn gauge(&self, id: &str) -> Gauge {
-        self.try_gauge(id).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Get or create the latency histogram `id`; `Err` on a type
-    /// mismatch.
-    pub fn try_histogram(&self, id: &str) -> Result<Histogram, ObsError> {
-        match self.slot(id, || Slot::Histogram(Histogram::default())) {
-            Slot::Histogram(h) => Ok(h),
-            other => Err(Self::mismatch(id, "histogram", &other)),
-        }
-    }
-
-    /// Get or create the latency histogram `id` (panics on a type
-    /// mismatch).
-    pub fn histogram(&self, id: &str) -> Histogram {
-        self.try_histogram(id).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Get or create the percentile digest `id`; `Err` on a type
     /// mismatch.
     pub fn try_digest(&self, id: &str) -> Result<Digest, ObsError> {
@@ -356,28 +231,6 @@ impl Registry {
                 _ => None,
             })
             .collect()
-    }
-
-    /// Get or create the bandwidth series `id` with the given window;
-    /// `Err` on a type mismatch. The window is fixed at creation; later
-    /// calls reuse it.
-    pub fn try_bandwidth(
-        &self,
-        id: &str,
-        window: SimDuration,
-    ) -> Result<BandwidthSeries, ObsError> {
-        match self.slot(id, || Slot::Bandwidth(BandwidthSeries::new(window))) {
-            Slot::Bandwidth(b) => Ok(b),
-            other => Err(Self::mismatch(id, "bandwidth", &other)),
-        }
-    }
-
-    /// Get or create the bandwidth series `id` with the given window
-    /// (panics on a type mismatch). The window is fixed at creation;
-    /// later calls reuse it.
-    pub fn bandwidth(&self, id: &str, window: SimDuration) -> BandwidthSeries {
-        self.try_bandwidth(id, window)
-            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Get or create the sampled time series `id`; `Err` on a type
@@ -431,53 +284,16 @@ impl Registry {
     pub fn snapshot_json(&self) -> String {
         let slots = self.slots.lock().unwrap();
         let mut counters = String::new();
-        let mut gauges = String::new();
-        let mut hists = String::new();
         let mut digs = String::new();
-        let mut bws = String::new();
         let mut sers = String::new();
         for (id, slot) in slots.iter() {
             match slot {
                 Slot::Counter(c) => {
                     push_entry(&mut counters, id, &c.get().to_string());
                 }
-                Slot::Gauge(g) => {
-                    push_entry(&mut gauges, id, &g.get().to_string());
-                }
-                Slot::Histogram(h) => h.with(|h| {
-                    // An empty histogram has no quantiles: rendering
-                    // `p50_bound: 0` would read as "p50 is zero ps".
-                    // Emit just the count so consumers can't mistake
-                    // absence for a measurement.
-                    let body = if h.count() == 0 {
-                        "{\"count\": 0}".to_string()
-                    } else {
-                        format!(
-                            "{{\"count\": {}, \"p50_bound\": {}, \"p99_bound\": {}, \"max_bound\": {}}}",
-                            h.count(),
-                            h.quantile_bound(0.50),
-                            h.quantile_bound(0.99),
-                            h.quantile_bound(1.0),
-                        )
-                    };
-                    push_entry(&mut hists, id, &body);
-                }),
                 Slot::Digest(d) => d.with(|d| {
                     push_entry(&mut digs, id, &d.snapshot_json());
                 }),
-                Slot::Bandwidth(b) => {
-                    let pts: Vec<String> = b
-                        .points()
-                        .iter()
-                        .map(|&(i, bytes)| format!("[{i}, {bytes}, {:.3}]", b.mb_per_sec(bytes)))
-                        .collect();
-                    let body = format!(
-                        "{{\"window_us\": {:.3}, \"points\": [{}]}}",
-                        b.window().as_ps() as f64 * 1e-6,
-                        pts.join(", ")
-                    );
-                    push_entry(&mut bws, id, &body);
-                }
                 Slot::Series(s) => {
                     let pts: Vec<String> = s
                         .points()
@@ -490,7 +306,7 @@ impl Registry {
             }
         }
         format!(
-            "{{\n  \"counters\": {{{counters}}},\n  \"gauges\": {{{gauges}}},\n  \"histograms\": {{{hists}}},\n  \"digests\": {{{digs}}},\n  \"bandwidth\": {{{bws}}},\n  \"series\": {{{sers}}}\n}}\n"
+            "{{\n  \"counters\": {{{counters}}},\n  \"digests\": {{{digs}}},\n  \"series\": {{{sers}}}\n}}\n"
         )
     }
 }
@@ -552,9 +368,8 @@ mod tests {
         b.add(3);
         assert_eq!(a.get(), 5);
 
-        let g = reg.gauge("depth");
-        g.set(9);
-        assert_eq!(reg.gauge("depth").get(), 9);
+        reg.series("depth").push(SimTime::from_ps(1), 9);
+        assert_eq!(reg.series("depth").max_value(), 9);
     }
 
     #[test]
@@ -562,7 +377,7 @@ mod tests {
     fn type_mismatch_panics() {
         let reg = Registry::new();
         reg.counter("oops");
-        reg.gauge("oops");
+        reg.series("oops");
     }
 
     #[test]
@@ -576,29 +391,7 @@ mod tests {
         reg.try_counter("x").unwrap().add(2);
         assert_eq!(reg.counter("x").get(), 2);
         assert!(reg.try_series("s").is_ok());
-        assert!(reg.try_gauge("s").is_err());
-        assert!(reg.try_histogram("h").is_ok());
-        assert!(reg.try_bandwidth("b", SimDuration::from_us(1)).is_ok());
-    }
-
-    #[test]
-    fn histogram_and_bandwidth_render_deterministically() {
-        let reg = Registry::new();
-        let h = reg.histogram("lat");
-        h.record(100);
-        h.record(1000);
-        let bw = reg.bandwidth("link0", SimDuration::from_us(10));
-        bw.record(SimTime::ZERO + SimDuration::from_us(5), 4096);
-        bw.record(SimTime::ZERO + SimDuration::from_us(15), 8192);
-        bw.record(SimTime::ZERO + SimDuration::from_us(16), 8192);
-        assert_eq!(bw.points(), vec![(0, 4096), (1, 16384)]);
-
-        let a = reg.snapshot_json();
-        let b = reg.snapshot_json();
-        assert_eq!(a, b, "snapshots must be byte-stable");
-        assert!(a.contains("\"lat\""));
-        assert!(a.contains("\"window_us\": 10.000"));
-        crate::perfetto::json_sanity(&a).expect("snapshot JSON parses");
+        assert!(reg.try_counter("s").is_err());
     }
 
     #[test]
@@ -613,29 +406,6 @@ mod tests {
         let json = reg.snapshot_json();
         assert!(json.contains("\"series\": {\"card0.tx_fifo\""));
         assert!(json.contains("[[1000, 4], [2000, 9]]"));
-        crate::perfetto::json_sanity(&json).expect("snapshot JSON parses");
-    }
-
-    #[test]
-    fn empty_histogram_snapshot_has_count_only() {
-        // A registered-but-never-recorded histogram must not render
-        // quantile bounds: `p50_bound: 0` would read as a measurement.
-        let reg = Registry::new();
-        reg.histogram("lat.empty");
-        let json = reg.snapshot_json();
-        assert!(json.contains("\"lat.empty\": {\"count\": 0}"));
-        assert!(!json.contains("p50_bound\": 0"));
-        crate::perfetto::json_sanity(&json).expect("snapshot JSON parses");
-
-        // One sample: bounds appear (5 lives in bucket [4, 8) → 7).
-        reg.histogram("lat.empty").record(5);
-        let json = reg.snapshot_json();
-        assert!(json.contains("\"count\": 1, \"p50_bound\": 7, \"p99_bound\": 7, \"max_bound\": 7"));
-
-        // Saturated top bucket renders the clamped u64::MAX bound.
-        reg.histogram("lat.sat").record(u64::MAX);
-        let json = reg.snapshot_json();
-        assert!(json.contains(&format!("\"max_bound\": {}", u64::MAX)));
         crate::perfetto::json_sanity(&json).expect("snapshot JSON parses");
     }
 
@@ -665,7 +435,8 @@ mod tests {
         assert_eq!(reg.digest_ids(), ["latency.total"]);
         crate::perfetto::json_sanity(&json).expect("snapshot JSON parses");
 
-        // Empty digests render count-only, like empty histograms.
+        // An empty digest renders count-only: no bound reads as a
+        // measurement.
         reg.digest("latency.untouched");
         assert!(reg
             .snapshot_json()
@@ -685,6 +456,6 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Registry>();
         assert_send_sync::<Counter>();
-        assert_send_sync::<BandwidthSeries>();
+        assert_send_sync::<TimeSeries>();
     }
 }

@@ -74,79 +74,6 @@ impl OnlineStats {
     }
 }
 
-/// A logarithmically-bucketed histogram of non-negative integers
-/// (bucket k holds values in `[2^k, 2^(k+1))`; bucket 0 holds 0 and 1).
-#[derive(Debug, Clone)]
-pub struct LogHistogram {
-    buckets: [u64; 64],
-    count: u64,
-    total: u128,
-}
-
-impl Default for LogHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl LogHistogram {
-    /// Empty histogram.
-    pub fn new() -> Self {
-        LogHistogram {
-            buckets: [0; 64],
-            count: 0,
-            total: 0,
-        }
-    }
-
-    /// Record one value.
-    pub fn record(&mut self, v: u64) {
-        let b = 63 - (v | 1).leading_zeros() as usize;
-        self.buckets[b] += 1;
-        self.count += 1;
-        self.total += v as u128;
-    }
-
-    /// Number of recorded values.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of recorded values.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.total as f64 / self.count as f64
-        }
-    }
-
-    /// Upper bound of the bucket containing the q-quantile (0 ≤ q ≤ 1).
-    pub fn quantile_bound(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = (q * self.count as f64).ceil() as u64;
-        let mut seen = 0;
-        for (k, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= target.max(1) {
-                return if k >= 63 { u64::MAX } else { (2u64 << k) - 1 };
-            }
-        }
-        u64::MAX
-    }
-
-    /// Iterate non-empty buckets as `(lower_bound, count)`.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(k, &n)| (if k == 0 { 0 } else { 1u64 << k }, n))
-    }
-}
-
 /// One (x, y) series of a figure, e.g. "bandwidth vs message size".
 #[derive(Debug, Clone)]
 pub struct Series {
@@ -263,54 +190,6 @@ mod tests {
         s.push(3.5);
         assert_eq!(s.min(), Some(3.5));
         assert_eq!(s.max(), Some(3.5));
-    }
-
-    #[test]
-    fn histogram_buckets_and_mean() {
-        let mut h = LogHistogram::new();
-        for v in [0, 1, 2, 3, 4, 1024] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 6);
-        assert!((h.mean() - (1 + 2 + 3 + 4 + 1024) as f64 / 6.0).abs() < 1e-12);
-        let buckets: Vec<(u64, u64)> = h.iter().collect();
-        assert_eq!(buckets, vec![(0, 2), (2, 2), (4, 1), (1024, 1)]);
-        assert!(h.quantile_bound(0.5) >= 2);
-        assert!(h.quantile_bound(1.0) >= 1024);
-    }
-
-    #[test]
-    fn quantile_bound_edge_cases() {
-        // Empty histogram: every quantile bound is 0.
-        let h = LogHistogram::new();
-        assert_eq!(h.quantile_bound(0.0), 0);
-        assert_eq!(h.quantile_bound(0.5), 0);
-        assert_eq!(h.quantile_bound(1.0), 0);
-
-        // Single value: every quantile lands in its bucket. 5 lives in
-        // bucket k=2 ([4, 8)), whose upper bound is 7.
-        let mut h = LogHistogram::new();
-        h.record(5);
-        assert_eq!(h.quantile_bound(0.0), 7, "q=0 still reports a bucket");
-        assert_eq!(h.quantile_bound(0.5), 7);
-        assert_eq!(h.quantile_bound(1.0), 7);
-
-        // q=0.0 with many buckets: target rounds up to the first
-        // non-empty bucket, not below it.
-        let mut h = LogHistogram::new();
-        h.record(100);
-        h.record(100_000);
-        assert_eq!(h.quantile_bound(0.0), 127);
-
-        // Top bucket k=63: `(2u64 << 63)` would overflow; the bound
-        // saturates to u64::MAX instead.
-        let mut h = LogHistogram::new();
-        h.record(u64::MAX);
-        assert_eq!(h.quantile_bound(0.5), u64::MAX);
-        assert_eq!(h.quantile_bound(1.0), u64::MAX);
-        let mut h = LogHistogram::new();
-        h.record(1u64 << 63);
-        assert_eq!(h.quantile_bound(1.0), u64::MAX);
     }
 
     #[test]

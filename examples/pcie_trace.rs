@@ -4,8 +4,9 @@
 //!
 //! Run with: `cargo run --release --example pcie_trace`
 
-use apenet::cluster::harness::{flush_read_with_trace, BufSide};
+use apenet::cluster::harness::{flush_read_with, BufSide};
 use apenet::cluster::presets::plx_node;
+use apenet::cluster::Planes;
 use apenet::gpu::GpuArch;
 use apenet::nic::config::GpuTxVersion;
 use apenet::pcie::analyzer::{render_trace, summarize_p2p_read};
@@ -13,8 +14,12 @@ use apenet::sim::trace::SharedSink;
 
 fn main() {
     let cfg = plx_node(GpuArch::Fermi2050, GpuTxVersion::V2, 32 * 1024);
-    let sink = SharedSink::capturing();
-    let (bw, records) = flush_read_with_trace(cfg, BufSide::Gpu, 256 * 1024, 2, Some(sink));
+    let planes = Planes {
+        pcie: Some(SharedSink::capturing()),
+        ..Planes::off()
+    };
+    let (bw, artifacts) = flush_read_with(cfg, BufSide::Gpu, 256 * 1024, 2, planes);
+    let records = artifacts.pcie;
     println!("# interposer capture: 256 KiB GPU read, GPU_P2P_TX v2, 32 KiB window\n");
     println!("{}", render_trace(&records, 24));
     let s = summarize_p2p_read(&records, bw.first_submit).expect("capture has read traffic");

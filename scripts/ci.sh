@@ -16,8 +16,14 @@ cargo build --workspace --release --offline
 echo "==> cargo test"
 cargo test --workspace --offline -q
 
-echo "==> trace-export smoke (Perfetto exporter self-validates nesting + JSON)"
+echo "==> trace-export smoke (Perfetto exporter self-validates nesting + JSON; exports match committed)"
 cargo run --release --offline -q -p apenet-bench --bin trace-export
+
+echo "==> observation-plane artifacts (span-trace breakdown + bus-analyzer capture match committed)"
+cargo run --release --offline -q -p apenet-bench --bin latency-breakdown
+cargo run --release --offline -q -p apenet-bench --bin fig03
+git diff --exit-code -- results/trace_pingpong.json results/trace_incast.json \
+    results/latency_breakdown.txt results/fig03.txt
 
 echo "==> deterministic telemetry artifacts (sim-profile + congestion-heatmap match committed)"
 cargo run --release --offline -q -p apenet-bench --bin sim-profile
