@@ -10,8 +10,9 @@
 //!   per message size from the virtual bus-analyzer capture, with the
 //!   bandwidth column matching Fig. 4's "v2 window=32KB" curve exactly;
 //! * **two-node G-G path** (Cluster I) — tx-pipeline / link / rx phase
-//!   partition per message size from card span traces
-//!   ([`apenet_obs::breakdown`]); the three phases sum to the total by
+//!   partition per message size, projected from each complete message's
+//!   latency ledger ([`MsgLedger::phases`]: post, first frame-tx, last
+//!   frame-rx, delivered); the three phases sum to the total by
 //!   construction.
 
 use crate::{count_for, emit, sizes_4kb_4mb, sweep};
@@ -20,7 +21,7 @@ use apenet_cluster::presets::{cluster_i_default, plx_node};
 use apenet_cluster::Planes;
 use apenet_core::config::GpuTxVersion;
 use apenet_gpu::GpuArch;
-use apenet_obs::breakdown;
+use apenet_obs::latency::{collect_ledgers, MsgLedger};
 use apenet_pcie::analyzer::summarize_p2p_read;
 use apenet_sim::trace::SharedSink;
 use std::fmt::Write;
@@ -95,22 +96,23 @@ pub fn gg_stages(sizes: &[u64]) -> Vec<GgStageRow> {
                 ..Planes::off()
             },
         );
-        let spans: Vec<_> = breakdown::collect(&artifacts.trace)
+        let msgs: Vec<MsgLedger> = collect_ledgers(&artifacts.trace)
             .into_iter()
-            .filter(|sp| sp.delivered.is_some())
+            .filter(|l| l.complete)
             .collect();
-        assert!(!spans.is_empty(), "no delivered spans at size {size}");
-        let n = spans.len() as f64;
-        let sum_us = |f: &dyn Fn(&breakdown::SpanPhases) -> f64| -> f64 {
-            spans.iter().map(f).sum::<f64>() / n
+        assert!(!msgs.is_empty(), "no delivered spans at size {size}");
+        let n = msgs.len() as f64;
+        let mean_us = |a: usize, b: usize| {
+            let gaps = msgs.iter().map(|l| l.phases()).map(|p| p[b].since(p[a]));
+            gaps.map(|d| d.as_us_f64()).sum::<f64>() / n
         };
         GgStageRow {
             size,
-            tx_pipeline_us: sum_us(&|sp| sp.tx_pipeline().as_us_f64()),
-            link_us: sum_us(&|sp| sp.link().as_us_f64()),
-            rx_us: sum_us(&|sp| sp.rx().as_us_f64()),
-            total_us: sum_us(&|sp| sp.total().as_us_f64()),
-            frames_per_msg: sum_us(&|sp| sp.frames as f64),
+            tx_pipeline_us: mean_us(0, 1),
+            link_us: mean_us(1, 2),
+            rx_us: mean_us(2, 3),
+            total_us: mean_us(0, 3),
+            frames_per_msg: msgs.iter().map(|l| l.frames as f64).sum::<f64>() / n,
         }
     })
 }

@@ -248,6 +248,12 @@ fn rx_ring_backpressure_is_attributed_to_ring_wait() {
         .planes(planes)
         .build(programs);
     let end = cluster.run();
+    // Before the host reaps, the two completions behind the full ring
+    // are parked, never delivered: the fold labels them itself.
+    let mut records = sink.take();
+    let held = collect_ledgers(&records);
+    let ring_full = held.iter().filter(|l| l.error == Some("rx-ring-full"));
+    assert_eq!(ring_full.count(), 2);
     // Reap the ring one entry at a time, well after the stream landed:
     // each pop releases one held completion, stamping its delivery.
     let card1 = cluster.cards[1];
@@ -261,11 +267,13 @@ fn rx_ring_backpressure_is_attributed_to_ring_wait() {
     cluster.run();
     assert_eq!(cluster.host(1).node.cq.delivered_count(), 3);
 
-    let ledgers = collect_ledgers(&sink.take());
+    records.extend(sink.take());
+    let ledgers = collect_ledgers(&records);
     assert_eq!(ledgers.len(), 3);
     let mut waited = 0;
     for l in &ledgers {
         assert!(l.complete);
+        assert_eq!(l.error, None, "delivered once reaped");
         l.assert_telescopes();
         if l.stage(Stage::RxRingWait) > SimDuration::ZERO {
             waited += 1;

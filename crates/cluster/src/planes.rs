@@ -19,28 +19,30 @@
 //! [`Planes::from_env`], handed to [`ClusterBuilder::planes`], and
 //! collected after the run by [`Cluster::take_artifacts`].
 //!
-//! The env grammars are strict: a malformed value is a [`PlanesError`]
+//! The env grammars are strict: a malformed value is an [`EnvError`]
 //! naming the variable, the value and the accepted grammar, never a
-//! silent default. Every grammar shares the switch words (unset, empty,
-//! `0`, `off` = off; `1`, `on` = the plane's default) and one duration
+//! silent default. Every grammar shares the switch words of
+//! [`apenet_core::config::switch`] (unset, empty, `0`, `off` = off;
+//! `1`, `on` = the plane's default; any case) and one duration
 //! form, `<N>ms`, `<N>us`, `<N>ns` or a bare `<N>` in µs, with N > 0.
 //!
 //! [`ClusterBuilder::planes`]: crate::ClusterBuilder::planes
 
 use crate::cluster::Cluster;
 use crate::sampling::OccupancySampler;
+use apenet_core::config::{env_var, switch, EnvError};
 use apenet_obs::alert::RuleSet;
-use apenet_obs::latency::{collect_ledgers, metrics as tail_metrics, TailConfig, TailSummary};
-use apenet_obs::recorder::{FlightRecorder, RetainReason};
+use apenet_obs::latency::{
+    collect_ledgers, metrics as tail_metrics, MsgLedger, TailConfig, TailSummary,
+};
+use apenet_obs::recorder::FlightRecorder;
 use apenet_obs::report::RunReport;
 use apenet_obs::slo::SloConfig;
 use apenet_obs::Registry;
 use apenet_rdma::completion::CompletionError;
 use apenet_sim::profile::SimProfile;
-use apenet_sim::trace::{kind as tk, SharedSink, SpanId, TraceRecord};
+use apenet_sim::trace::{SharedSink, TraceRecord};
 use apenet_sim::SimDuration;
-use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
 
 /// Default sampling period: 2 µs of simulated time — fine enough to
 /// resolve the ≈4 µs pingpong round trips, coarse enough that a
@@ -94,61 +96,16 @@ impl Planes {
     ///
     /// # Panics
     ///
-    /// On a malformed value, with the [`PlanesError`] message.
+    /// On a malformed value, with the [`EnvError`] message.
     pub fn from_env() -> Self {
-        let var = |name| std::env::var(name).unwrap_or_default();
-        let planes = || -> Result<Planes, PlanesError> {
-            Ok(Planes {
-                trace: parse_trace(&var("APENET_TRACE"))?,
-                sample: parse_sample(&var("APENET_SAMPLE"))?,
-                profile: parse_profile(&var("APENET_PROFILE"))?,
-                tail: parse_tail(&var("APENET_TAIL"))?,
-                slo: parse_slo(&var("APENET_SLO"))?,
-                pcie: None,
-            })
-        };
-        planes().unwrap_or_else(|e| panic!("{e}"))
-    }
-}
-
-/// A malformed plane env value.
-#[derive(Debug, PartialEq, Eq)]
-pub struct PlanesError {
-    /// The env var.
-    pub var: &'static str,
-    /// The rejected value.
-    pub value: String,
-    /// The grammar the value had to match.
-    pub grammar: &'static str,
-}
-
-impl fmt::Display for PlanesError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}={:?} is malformed; expected {}",
-            self.var, self.value, self.grammar
-        )
-    }
-}
-
-impl std::error::Error for PlanesError {}
-
-fn malformed(var: &'static str, value: &str, grammar: &'static str) -> PlanesError {
-    PlanesError {
-        var,
-        value: value.to_string(),
-        grammar,
-    }
-}
-
-/// The switch words every grammar shares: `Some(false)` = off,
-/// `Some(true)` = the plane's default, `None` = not a switch word.
-fn switch(v: &str) -> Option<bool> {
-    match v {
-        "" | "0" | "off" => Some(false),
-        "1" | "on" => Some(true),
-        _ => None,
+        Planes {
+            trace: env_var("APENET_TRACE", parse_trace),
+            sample: env_var("APENET_SAMPLE", parse_sample),
+            profile: env_var("APENET_PROFILE", parse_profile),
+            tail: env_var("APENET_TAIL", parse_tail),
+            slo: env_var("APENET_SLO", parse_slo),
+            pcie: None,
+        }
     }
 }
 
@@ -166,7 +123,7 @@ fn parse_duration(s: &str) -> Option<SimDuration> {
 
 /// Parse an `APENET_TRACE` value: `capture` keeps every record,
 /// `ring:N` the last N, `1`/`on` the last 65 536.
-pub fn parse_trace(v: &str) -> Result<Option<SharedSink>, PlanesError> {
+pub fn parse_trace(v: &str) -> Result<Option<SharedSink>, EnvError> {
     let v = v.trim();
     if let Some(on) = switch(v) {
         return Ok(on.then(|| SharedSink::ring(DEFAULT_TRACE_RING)));
@@ -178,36 +135,36 @@ pub fn parse_trace(v: &str) -> Result<Option<SharedSink>, PlanesError> {
         .and_then(|n| n.parse::<usize>().ok())
         .filter(|&n| n > 0)
         .map(|n| Some(SharedSink::ring(n)))
-        .ok_or_else(|| malformed("APENET_TRACE", v, TRACE_GRAMMAR))
+        .ok_or_else(|| EnvError::new("APENET_TRACE", v, TRACE_GRAMMAR))
 }
 
 /// Parse an `APENET_SAMPLE` value into a sampling period; `1`/`on` is
 /// 2 µs.
-pub fn parse_sample(v: &str) -> Result<Option<SimDuration>, PlanesError> {
+pub fn parse_sample(v: &str) -> Result<Option<SimDuration>, EnvError> {
     let v = v.trim();
     match switch(v) {
         Some(on) => Ok(on.then_some(DEFAULT_SAMPLE_PERIOD)),
         None => parse_duration(v)
             .map(Some)
-            .ok_or_else(|| malformed("APENET_SAMPLE", v, SAMPLE_GRAMMAR)),
+            .ok_or_else(|| EnvError::new("APENET_SAMPLE", v, SAMPLE_GRAMMAR)),
     }
 }
 
 /// Parse an `APENET_PROFILE` value.
-pub fn parse_profile(v: &str) -> Result<bool, PlanesError> {
+pub fn parse_profile(v: &str) -> Result<bool, EnvError> {
     let v = v.trim();
-    switch(v).ok_or_else(|| malformed("APENET_PROFILE", v, PROFILE_GRAMMAR))
+    switch(v).ok_or_else(|| EnvError::new("APENET_PROFILE", v, PROFILE_GRAMMAR))
 }
 
 /// Parse an `APENET_TAIL` value: `1`/`on` is the p99 default, otherwise
 /// a tail quantile with an optional flight-recorder capacity
 /// (`p999:256`).
-pub fn parse_tail(v: &str) -> Result<Option<TailConfig>, PlanesError> {
+pub fn parse_tail(v: &str) -> Result<Option<TailConfig>, EnvError> {
     let v = v.trim();
     if let Some(on) = switch(v) {
         return Ok(on.then(TailConfig::default));
     }
-    let bad = || malformed("APENET_TAIL", v, TAIL_GRAMMAR);
+    let bad = || EnvError::new("APENET_TAIL", v, TAIL_GRAMMAR);
     let (quant, cap) = match v.split_once(':') {
         Some((q, n)) => (q, Some(n)),
         None => (v, None),
@@ -234,12 +191,12 @@ pub fn parse_tail(v: &str) -> Result<Option<TailConfig>, PlanesError> {
 /// otherwise `<window>[:<target_permille>[:<threshold>]]` with the
 /// unspecified fields at their defaults (`500us:999:20us` = 500 µs
 /// windows, 99.9 % of messages within 20 µs).
-pub fn parse_slo(v: &str) -> Result<Option<SloConfig>, PlanesError> {
+pub fn parse_slo(v: &str) -> Result<Option<SloConfig>, EnvError> {
     let v = v.trim();
     if let Some(on) = switch(v) {
         return Ok(on.then(SloConfig::default));
     }
-    let bad = || malformed("APENET_SLO", v, SLO_GRAMMAR);
+    let bad = || EnvError::new("APENET_SLO", v, SLO_GRAMMAR);
     let mut cfg = SloConfig::default();
     let mut fields = v.split(':');
     cfg.window = fields.next().and_then(parse_duration).ok_or_else(bad)?;
@@ -298,33 +255,17 @@ pub struct TailReport {
 }
 
 impl TailReport {
-    /// Fold a span capture (with its typed error spans) into the tail
-    /// plane.
-    fn build(records: &[TraceRecord], errors: &[(SpanId, &'static str)], cfg: TailConfig) -> Self {
-        let summary = TailSummary::build(records, errors, cfg);
-        // Retain tail spans plus every error span, error reason winning
-        // when a span is both (the forensically stronger label).
-        let mut keep: BTreeMap<SpanId, RetainReason> = summary
-            .tail
-            .iter()
-            .map(|&i| (summary.ledgers[i].span, RetainReason::Tail))
-            .collect();
-        for l in &summary.ledgers {
-            if let Some(e) = l.error {
-                keep.insert(l.span, RetainReason::Error(e));
-            }
-        }
-        let keep: Vec<(SpanId, RetainReason)> = keep.into_iter().collect();
+    /// Build the tail plane from the run's ledgers (typed errors
+    /// attached); `records` is the capture they were folded from, which
+    /// the flight recorder retains spans of.
+    fn build(ledgers: Vec<MsgLedger>, records: &[TraceRecord], cfg: TailConfig) -> Self {
+        let summary = TailSummary::build(ledgers, cfg);
         let mut recorder = FlightRecorder::new(cfg.capacity);
-        recorder.ingest(records, &keep);
+        recorder.ingest(records, &summary.retain_set());
         let registry = Registry::new();
         summary.publish(&registry);
-        registry
-            .counter(tail_metrics::RETAINED_SPANS)
-            .add(recorder.len() as u64);
-        registry
-            .counter(tail_metrics::DROPPED_SPANS)
-            .add(recorder.evicted());
+        registry.add(tail_metrics::RETAINED_SPANS, recorder.len() as u64);
+        registry.add(tail_metrics::DROPPED_SPANS, recorder.evicted());
         TailReport {
             summary,
             recorder,
@@ -350,70 +291,35 @@ impl TailReport {
     }
 }
 
-/// Typed error spans of a finished run: watchdog escalations surface on
-/// completion queues; a completion parked on a full RX event ring that
-/// the host never drained shows as an RX_HELD record with no delivery.
-/// Shared by the tail and SLO planes so both attribute identically.
-fn typed_error_spans(cluster: &Cluster, records: &[TraceRecord]) -> Vec<(SpanId, &'static str)> {
-    let mut errors: Vec<(SpanId, &'static str)> = Vec::new();
-    for r in 0..cluster.dims.nodes() {
-        for (m, _, e) in cluster.host(r).node.cq.errors() {
-            let label = match e {
-                CompletionError::Unreachable => "unreachable",
-            };
-            errors.push((m.span(), label));
-        }
-    }
-    let spans_of = |kind| -> BTreeSet<SpanId> {
-        records
-            .iter()
-            .filter(|r| r.kind == kind)
-            .filter_map(|r| r.span)
-            .collect()
-    };
-    let delivered = spans_of(tk::DELIVERED);
-    for &s in spans_of(tk::RX_HELD).difference(&delivered) {
-        if !errors.iter().any(|&(e, _)| e == s) {
-            errors.push((s, "rx-ring-full"));
-        }
-    }
-    errors.sort_unstable();
-    errors
-}
-
-/// Fold a span capture into the streaming SLO engine: ledgers with
-/// typed errors attached, tumbling windows, budget evaluation, and the
-/// alert timeline — all published into the report's own registry.
-fn build_slo_report(
-    records: &[TraceRecord],
-    errors: &[(SpanId, &'static str)],
-    cfg: SloConfig,
-) -> RunReport {
-    let mut ledgers = collect_ledgers(records);
-    for l in &mut ledgers {
-        if let Some(&(_, e)) = errors.iter().find(|(s, _)| *s == l.span) {
-            l.error = Some(e);
-        }
-    }
-    RunReport::build(&ledgers, cfg, &RuleSet::default())
-}
-
 impl Cluster {
-    /// Collect what the planes recorded: drain the trace once, fold it
-    /// into the tail and SLO planes (each publishing only into its own
-    /// registry), and hand back the profile, the sampler and the bus
-    /// capture. Call after the run.
+    /// Collect what the planes recorded. The trace is drained once and,
+    /// with tail or SLO on, folded into ledgers once; completion-queue
+    /// errors overlay the fold's own labels (a watchdog escalation wins),
+    /// and both planes are built from those ledgers, each publishing
+    /// only into its own registry. Call after the run.
     pub fn take_artifacts(&mut self) -> RunArtifacts {
         let trace = self.trace.take();
-        let (tail, slo) = (self.planes.tail, self.planes.slo);
-        let errors = if tail.is_some() || slo.is_some() {
-            typed_error_spans(self, &trace)
-        } else {
-            Vec::new()
-        };
+        let Planes { tail, slo, .. } = self.planes;
+        let ledgers = (tail.is_some() || slo.is_some()).then(|| {
+            let mut ledgers = collect_ledgers(&trace);
+            for r in 0..self.dims.nodes() {
+                // Unreachable is the only CQ error: the watchdog gave up.
+                for (m, _, CompletionError::Unreachable) in self.host(r).node.cq.errors() {
+                    if let Ok(i) = ledgers.binary_search_by_key(&m.span(), |l| l.span) {
+                        ledgers[i].error = Some("unreachable");
+                    }
+                }
+            }
+            ledgers
+        });
+        // The SLO report borrows the ledgers; the tail plane then keeps them.
         RunArtifacts {
-            slo: slo.map(|cfg| build_slo_report(&trace, &errors, cfg)),
-            tail: tail.map(|cfg| TailReport::build(&trace, &errors, cfg)),
+            slo: slo
+                .zip(ledgers.as_ref())
+                .map(|(cfg, l)| RunReport::build(l, cfg, &RuleSet::default())),
+            tail: tail
+                .zip(ledgers)
+                .map(|(cfg, l)| TailReport::build(l, &trace, cfg)),
             profile: self.sim.take_profile(),
             sampler: self.sampler.take(),
             pcie: self
@@ -432,7 +338,7 @@ mod tests {
 
     #[test]
     fn switch_words_disable_and_default() {
-        for v in ["", "0", "off", " off "] {
+        for v in ["", "0", "off", " off ", "OFF"] {
             assert!(parse_trace(v).unwrap().is_none());
             assert_eq!(parse_sample(v), Ok(None));
             assert_eq!(parse_profile(v), Ok(false));

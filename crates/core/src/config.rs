@@ -72,43 +72,98 @@ impl Default for OverloadConfig {
 }
 
 impl OverloadConfig {
-    /// Parse the `APENET_OVERLOAD` grammar. Lenient:
-    /// unset/empty/`0`/`off` disable the plane; `1`/`on` arm it with
-    /// defaults; otherwise a comma-separated list of `port:<frames>` and
-    /// `ring:<entries>` overrides, unknown or malformed items falling
-    /// back to the defaults rather than erroring.
-    pub fn parse(v: &str) -> Option<OverloadConfig> {
+    /// Parse the `APENET_OVERLOAD` grammar: a [`switch`] word (on = the
+    /// defaults), or comma-separated `port:<frames>` and
+    /// `ring:<entries>` overrides of the defaults.
+    pub fn parse(v: &str) -> Result<Option<OverloadConfig>, EnvError> {
         let v = v.trim();
-        if v.is_empty() || v == "0" || v.eq_ignore_ascii_case("off") {
-            return None;
+        if let Some(on) = switch(v) {
+            return Ok(on.then(OverloadConfig::default));
         }
+        let bad = || EnvError::new("APENET_OVERLOAD", v, OVERLOAD_GRAMMAR);
         let mut cfg = OverloadConfig::default();
-        if v == "1" || v.eq_ignore_ascii_case("on") {
-            return Some(cfg);
-        }
         for item in v.split(',') {
-            let item = item.trim();
-            if let Some(n) = item.strip_prefix("port:") {
-                if let Ok(n) = n.trim().parse::<u32>() {
-                    cfg.port_highwater = n.max(1);
-                }
-            } else if let Some(n) = item.strip_prefix("ring:") {
-                if let Ok(n) = n.trim().parse::<u32>() {
-                    cfg.ring_highwater = n.max(1);
-                }
+            let (key, n) = item.trim().split_once(':').ok_or_else(bad)?;
+            let n = n.trim().parse::<u32>().map_err(|_| bad())?.max(1);
+            match key {
+                "port" => cfg.port_highwater = n,
+                "ring" => cfg.ring_highwater = n,
+                _ => return Err(bad()),
             }
         }
-        Some(cfg)
+        Ok(Some(cfg))
     }
 
-    /// The `APENET_OVERLOAD` env gate (unset/`0` = plane disabled),
-    /// mirroring `APENET_ROUTE_AROUND_FAULTS`: the guard can arm the
-    /// overload plane without recompiling.
+    /// The `APENET_OVERLOAD` env gate, so the guard can arm the
+    /// overload plane without recompiling. Panics when malformed.
     pub fn from_env() -> Option<OverloadConfig> {
-        std::env::var("APENET_OVERLOAD")
-            .ok()
-            .and_then(|v| Self::parse(&v))
+        env_var("APENET_OVERLOAD", Self::parse)
     }
+}
+
+const OVERLOAD_GRAMMAR: &str =
+    "off | 0 | on | 1 | <item>[,<item>] (item: port:<frames> | ring:<entries>)";
+const ROUTE_AROUND_GRAMMAR: &str = "off | 0 | on | 1";
+
+/// A malformed env value, naming the variable, the value and the
+/// grammar it had to match: no env grammar falls back to a default.
+#[derive(Debug, PartialEq, Eq)]
+pub struct EnvError {
+    /// The env var.
+    pub var: &'static str,
+    /// The rejected value.
+    pub value: String,
+    /// The grammar the value had to match.
+    pub grammar: &'static str,
+}
+
+impl EnvError {
+    /// The error for `var=value` against `grammar`.
+    pub fn new(var: &'static str, value: &str, grammar: &'static str) -> Self {
+        EnvError {
+            var,
+            value: value.to_string(),
+            grammar,
+        }
+    }
+}
+
+impl std::fmt::Display for EnvError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let EnvError {
+            var,
+            value,
+            grammar,
+        } = self;
+        write!(f, "{var}={value:?} is malformed; expected {grammar}")
+    }
+}
+
+impl std::error::Error for EnvError {}
+
+/// Read env var `name` (unset reads as empty) through its grammar.
+///
+/// # Panics
+///
+/// On a malformed value, with the [`EnvError`] message.
+pub fn env_var<T>(name: &'static str, parse: impl Fn(&str) -> Result<T, EnvError>) -> T {
+    parse(&std::env::var(name).unwrap_or_default()).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// The switch words every env grammar shares, in any case: unset,
+/// empty, `0` and `off` are `Some(false)`; `1` and `on` are
+/// `Some(true)`; anything else is `None`, not a switch word.
+pub fn switch(v: &str) -> Option<bool> {
+    match v.trim().to_ascii_lowercase().as_str() {
+        "" | "0" | "off" => Some(false),
+        "1" | "on" => Some(true),
+        _ => None,
+    }
+}
+
+/// Parse an `APENET_ROUTE_AROUND_FAULTS` value: a switch word.
+pub fn parse_route_around(v: &str) -> Result<bool, EnvError> {
+    switch(v).ok_or_else(|| EnvError::new("APENET_ROUTE_AROUND_FAULTS", v, ROUTE_AROUND_GRAMMAR))
 }
 
 /// Calibration constants of one card.
@@ -204,7 +259,8 @@ pub struct CardConfig {
     /// panic-on-missing-route — exactly today's behaviour — and the
     /// golden-digest test pins that clean-run figures are byte-identical
     /// either way. Defaults from the `APENET_ROUTE_AROUND_FAULTS` env var
-    /// (unset/`0` = off) so the guard can flip it without recompiling.
+    /// (unset/`0`/`off` = off, `1`/`on` = on; anything else panics with
+    /// an [`EnvError`]) so the guard can flip it without recompiling.
     pub route_around_faults: bool,
     /// Consecutive unanswered keepalive probes before a port is declared
     /// dead. Probes ride barren retransmit timeouts (so they exist only
@@ -258,9 +314,7 @@ impl CardConfig {
             link_window: 32,
             link_rto: SimDuration::from_us(100),
             fault_seed: 0xA9E0_5EED,
-            route_around_faults: std::env::var("APENET_ROUTE_AROUND_FAULTS")
-                .map(|v| v != "0" && !v.is_empty())
-                .unwrap_or(false),
+            route_around_faults: env_var("APENET_ROUTE_AROUND_FAULTS", parse_route_around),
             keepalive_misses: 3,
             rx_ring_entries: None,
             overload: OverloadConfig::from_env(),
@@ -358,30 +412,60 @@ mod tests {
 
     #[test]
     fn overload_grammar_disables_and_defaults() {
-        assert_eq!(OverloadConfig::parse(""), None);
-        assert_eq!(OverloadConfig::parse("0"), None);
-        assert_eq!(OverloadConfig::parse("off"), None);
-        assert_eq!(OverloadConfig::parse(" OFF "), None);
-        assert_eq!(OverloadConfig::parse("1"), Some(OverloadConfig::default()));
-        assert_eq!(OverloadConfig::parse("on"), Some(OverloadConfig::default()));
-        // Malformed items fall back to defaults instead of erroring.
+        for v in ["", "0", "off", " OFF "] {
+            assert_eq!(OverloadConfig::parse(v), Ok(None), "{v:?}");
+        }
+        for v in ["1", "on"] {
+            assert_eq!(
+                OverloadConfig::parse(v),
+                Ok(Some(OverloadConfig::default()))
+            );
+        }
+    }
+
+    #[test]
+    fn overload_grammar_rejects_malformed_items() {
+        let e = OverloadConfig::parse("bogus,port:x").unwrap_err();
         assert_eq!(
-            OverloadConfig::parse("bogus,port:x"),
-            Some(OverloadConfig::default())
+            (e.var, e.value.as_str(), e.grammar),
+            ("APENET_OVERLOAD", "bogus,port:x", OVERLOAD_GRAMMAR)
         );
+        assert!(e.to_string().contains(OVERLOAD_GRAMMAR));
+        for bad in [
+            "bogus", "port:x", "port:4,", "ring:", "port:-1", "fast:4", "yes",
+        ] {
+            assert!(OverloadConfig::parse(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]
     fn overload_grammar_overrides() {
-        let c = OverloadConfig::parse("port:4,ring:16").unwrap();
+        let c = OverloadConfig::parse("port:4,ring:16").unwrap().unwrap();
         assert_eq!(c.port_highwater, 4);
         assert_eq!(c.ring_highwater, 16);
-        let c = OverloadConfig::parse(" ring:12 ").unwrap();
+        let c = OverloadConfig::parse(" ring:12 ").unwrap().unwrap();
         assert_eq!(c.port_highwater, OverloadConfig::default().port_highwater);
         assert_eq!(c.ring_highwater, 12);
         // Zero thresholds clamp to 1: a mark-everything config is still
         // well-defined, a mark-on-empty-queue one is not.
-        assert_eq!(OverloadConfig::parse("port:0").unwrap().port_highwater, 1);
+        let c = OverloadConfig::parse("port:0").unwrap().unwrap();
+        assert_eq!(c.port_highwater, 1);
+    }
+
+    #[test]
+    fn route_around_grammar_is_a_switch() {
+        for v in ["", "0", "off", "OFF", " Off "] {
+            assert_eq!(parse_route_around(v), Ok(false), "{v:?}");
+        }
+        for v in ["1", "on", "ON"] {
+            assert_eq!(parse_route_around(v), Ok(true), "{v:?}");
+        }
+        let e = parse_route_around("yes").unwrap_err();
+        assert_eq!(e.var, "APENET_ROUTE_AROUND_FAULTS");
+        assert_eq!(
+            e.to_string(),
+            "APENET_ROUTE_AROUND_FAULTS=\"yes\" is malformed; expected off | 0 | on | 1"
+        );
     }
 
     #[test]

@@ -31,6 +31,7 @@
 //! captures (ring-sink evictions) still telescope.
 
 use crate::digest::PercentileDigest;
+use crate::recorder::RetainReason;
 use crate::registry::Registry;
 use apenet_sim::trace::{kind, SpanId, TracePayload, TraceRecord};
 use apenet_sim::{SimDuration, SimTime};
@@ -153,11 +154,13 @@ pub struct MsgLedger {
     pub retransmits: u64,
     /// Fault-detour routing decisions taken by packets of this span.
     pub detours: u64,
+    /// Payload bytes fetched, summed over every fetch of the span.
+    pub fetch_bytes: u64,
     /// Both a post and a delivery were observed: the totals are real
     /// end-to-end latencies, not a truncated capture.
     pub complete: bool,
-    /// Typed error the message ended in (e.g. "unreachable",
-    /// "rx-ring-full"), attached by the harness from host completions.
+    /// Typed error the message ended in: "rx-ring-full" (labelled by
+    /// the fold) or a completion-queue error such as "unreachable".
     pub error: Option<&'static str>,
 }
 
@@ -171,6 +174,15 @@ impl MsgLedger {
     /// End-to-end latency: submit → delivered.
     pub fn total(&self) -> SimDuration {
         self.bounds[9].since(self.bounds[0])
+    }
+
+    /// The coarse three-phase view `[post, first frame-tx, last
+    /// frame-rx, delivered]` (boundaries 1, 4, 6 and 9): tx pipeline,
+    /// link and rx, the split the Perfetto slices and the G-G latency
+    /// breakdown show.
+    pub fn phases(&self) -> [SimTime; 4] {
+        let b = &self.bounds;
+        [b[1], b[4], b[6], b[9]]
     }
 
     /// The stage decomposition telescopes exactly: summing every
@@ -229,6 +241,7 @@ struct RawSpan {
     frames: u64,
     retransmits: u64,
     detours: u64,
+    fetch_bytes: u64,
 }
 
 fn min_t(slot: &mut Option<SimTime>, at: SimTime) {
@@ -240,7 +253,9 @@ fn max_t(slot: &mut Option<SimTime>, at: SimTime) {
 }
 
 /// Fold `records` into one ledger per span, in span order. Records
-/// without a span (bare interposer TLPs) are ignored.
+/// without a span (bare interposer TLPs) are ignored. A span whose
+/// completion was parked on a full RX event ring (`RX_HELD`) and never
+/// delivered ends in the typed error "rx-ring-full".
 pub fn collect_ledgers(records: &[TraceRecord]) -> Vec<MsgLedger> {
     let mut raw: BTreeMap<SpanId, RawSpan> = BTreeMap::new();
     for r in records {
@@ -255,7 +270,10 @@ pub fn collect_ledgers(records: &[TraceRecord]) -> Vec<MsgLedger> {
                     sp.len = sp.len.max(len);
                 }
             }
-            kind::FETCH => min_t(&mut sp.first_fetch, r.at),
+            kind::FETCH => {
+                min_t(&mut sp.first_fetch, r.at);
+                sp.fetch_bytes += r.payload.data_len();
+            }
             kind::STAGE => min_t(&mut sp.first_stage, r.at),
             kind::FRAME_TX => {
                 min_t(&mut sp.first_frame_tx, r.at);
@@ -307,8 +325,9 @@ pub fn collect_ledgers(records: &[TraceRecord]) -> Vec<MsgLedger> {
                 frames: sp.frames,
                 retransmits: sp.retransmits,
                 detours: sp.detours,
+                fetch_bytes: sp.fetch_bytes,
                 complete: sp.post.is_some() && sp.delivered.is_some(),
-                error: None,
+                error: (sp.rx_held.is_some() && sp.delivered.is_none()).then_some("rx-ring-full"),
             }
         })
         .collect()
@@ -408,28 +427,26 @@ pub struct TailSummary {
     pub blame: BTreeMap<Stage, u64>,
 }
 
+/// A digest of `ps` over the complete messages of `ledgers`.
+fn complete_digest(ledgers: &[MsgLedger], ps: impl Fn(&MsgLedger) -> u64) -> PercentileDigest {
+    let mut d = PercentileDigest::new();
+    for l in ledgers.iter().filter(|l| l.complete) {
+        d.record(ps(l));
+    }
+    d
+}
+
 impl TailSummary {
-    /// Build the summary: fold records into ledgers, attach typed
-    /// errors by span, pick the tail set, blame dominant stages.
+    /// Pick the tail set of `ledgers` and blame dominant stages.
     /// Asserts every ledger telescopes (debug + release: this is the
     /// plane's core invariant).
-    pub fn build(
-        records: &[TraceRecord],
-        errors: &[(SpanId, &'static str)],
-        cfg: TailConfig,
-    ) -> TailSummary {
-        let mut ledgers = collect_ledgers(records);
-        for l in &mut ledgers {
+    pub fn build(ledgers: Vec<MsgLedger>, cfg: TailConfig) -> TailSummary {
+        for l in &ledgers {
             l.assert_telescopes();
-            if let Some(&(_, e)) = errors.iter().find(|(s, _)| *s == l.span) {
-                l.error = Some(e);
-            }
         }
-        let mut totals = PercentileDigest::new();
-        for l in ledgers.iter().filter(|l| l.complete) {
-            totals.record(l.total().as_ps());
-        }
-        let threshold_ps = totals.quantile(cfg.quantile).unwrap_or(0);
+        let threshold_ps = complete_digest(&ledgers, |l| l.total().as_ps())
+            .quantile(cfg.quantile)
+            .unwrap_or(0);
         let tail: Vec<usize> = ledgers
             .iter()
             .enumerate()
@@ -480,17 +497,23 @@ impl TailSummary {
         best.map(|(s, _)| s)
     }
 
-    /// Spans the flight recorder should retain: tail messages plus
-    /// every message that ended in a typed error.
-    pub fn retain_set(&self) -> Vec<SpanId> {
-        let mut keep: Vec<SpanId> = self.tail.iter().map(|&i| self.ledgers[i].span).collect();
-        for l in &self.ledgers {
-            if l.error.is_some() && !keep.contains(&l.span) {
-                keep.push(l.span);
-            }
-        }
-        keep.sort_unstable();
-        keep
+    /// Spans the flight recorder should retain, in span order: tail
+    /// messages plus every message that ended in a typed error, the
+    /// error reason winning when a span is both (the forensically
+    /// stronger label).
+    pub fn retain_set(&self) -> Vec<(SpanId, RetainReason)> {
+        self.ledgers
+            .iter()
+            .enumerate()
+            .filter_map(|(i, l)| match l.error {
+                Some(e) => Some((l.span, RetainReason::Error(e))),
+                None => self
+                    .tail
+                    .binary_search(&i)
+                    .is_ok()
+                    .then_some((l.span, RetainReason::Tail)),
+            })
+            .collect()
     }
 
     /// Publish counters and per-stage/per-class digests into `reg`
@@ -498,12 +521,11 @@ impl TailSummary {
     /// registered even at zero, so completeness checks see the full
     /// surface on every run.
     pub fn publish(&self, reg: &Registry) {
-        reg.counter(metrics::MESSAGES).add(self.messages());
-        reg.counter(metrics::INCOMPLETE).add(self.incomplete());
-        reg.counter(metrics::TAIL_MESSAGES)
-            .add(self.tail.len() as u64);
-        reg.counter(metrics::THRESHOLD_PS).add(self.threshold_ps);
-        reg.counter(metrics::ERRORS).add(self.errors());
+        reg.add(metrics::MESSAGES, self.messages());
+        reg.add(metrics::INCOMPLETE, self.incomplete());
+        reg.add(metrics::TAIL_MESSAGES, self.tail.len() as u64);
+        reg.add(metrics::THRESHOLD_PS, self.threshold_ps);
+        reg.add(metrics::ERRORS, self.errors());
         reg.counter(metrics::RETAINED_SPANS);
         reg.counter(metrics::DROPPED_SPANS);
         let total = reg.digest(metrics::TOTAL);
@@ -561,37 +583,31 @@ impl TailSummary {
             "  {:<13} {:>3} {:>12} {:>12} {:>12} {:>12} {:>12}",
             "stage", "k", "p50", "p90", "p99", "p999", "max"
         );
-        let mut row = |name: &str, k: &str, d: &mut PercentileDigest| {
-            let q = |d: &mut PercentileDigest, q: f64| d.quantile(q).unwrap_or(0);
+        let mut row = |name: &str, k: &str, mut d: PercentileDigest| {
+            let mut q = |q: f64| d.quantile(q).unwrap_or(0);
             let _ = writeln!(
                 out,
                 "  {:<13} {:>3} {:>12} {:>12} {:>12} {:>12} {:>12}",
                 name,
                 k,
-                q(d, 0.50),
-                q(d, 0.90),
-                q(d, 0.99),
-                q(d, 0.999),
+                q(0.50),
+                q(0.90),
+                q(0.99),
+                q(0.999),
                 d.max()
             );
         };
         for s in Stage::ALL {
-            let mut d = PercentileDigest::new();
-            for l in self.ledgers.iter().filter(|l| l.complete) {
-                d.record(l.stage(s).as_ps());
-            }
             let k = match s.kind() {
                 StageKind::Queueing => "q",
                 StageKind::Service => "s",
                 StageKind::Recovery => "r",
             };
-            row(s.name(), k, &mut d);
+            let d = complete_digest(&self.ledgers, |l| l.stage(s).as_ps());
+            row(s.name(), k, d);
         }
-        let mut d = PercentileDigest::new();
-        for l in self.ledgers.iter().filter(|l| l.complete) {
-            d.record(l.total().as_ps());
-        }
-        row("total", "=", &mut d);
+        let d = complete_digest(&self.ledgers, |l| l.total().as_ps());
+        row("total", "=", d);
         let retrans: u64 = self.ledgers.iter().map(|l| l.retransmits).sum();
         let detours: u64 = self.ledgers.iter().map(|l| l.detours).sum();
         let _ = writeln!(out, "retransmits: {retrans}  detour decisions: {detours}");
@@ -638,10 +654,17 @@ mod tests {
     #[test]
     fn clean_span_telescopes_with_zero_fault_stages() {
         let s = SpanId::from_msg(0, 1);
-        let ledgers = collect_ledgers(&full_span(s));
+        let mut records = full_span(s);
+        // A second fetch inside the tx_fetch → tx_stage window adds its
+        // bytes without moving a boundary.
+        records.push(rec(22, kind::FETCH, s, P::Bytes { len: 512 }));
+        let ledgers = collect_ledgers(&records);
         assert_eq!(ledgers.len(), 1);
         let l = &ledgers[0];
         assert!(l.complete);
+        assert_eq!(l.error, None);
+        assert_eq!(l.fetch_bytes, 4096 + 512);
+        assert_eq!(l.len, 4096);
         l.assert_telescopes();
         assert_eq!(l.total(), SimDuration::from_ns(65));
         assert_eq!(l.stage(Stage::HostPost), SimDuration::from_ns(5));
@@ -666,6 +689,7 @@ mod tests {
         let l = &collect_ledgers(&records)[0];
         l.assert_telescopes();
         assert_eq!(l.retransmits, 1);
+        assert_eq!(l.frames, 2, "the retransmitted frame counts as a frame");
         assert_eq!(
             l.stage(Stage::Wire),
             SimDuration::from_ns(10),
@@ -692,14 +716,40 @@ mod tests {
         assert_eq!(l.stage(Stage::RxNotify), SimDuration::from_ns(15));
         assert_eq!(l.stage(Stage::RxRingWait), SimDuration::from_ns(130));
         assert_eq!(l.dominant_stage(), Stage::RxRingWait);
+        assert_eq!(l.error, None, "a held completion that was delivered");
+        // Never drained: the fold labels the span's typed error itself.
+        records.retain(|r| r.kind != kind::DELIVERED);
+        let l = &collect_ledgers(&records)[0];
+        assert!(!l.complete);
+        assert_eq!(l.error, Some("rx-ring-full"));
     }
 
     #[test]
     fn partial_spans_collapse_and_still_telescope() {
         let s = SpanId::from_msg(2, 9);
-        let records = vec![rec(100, kind::POST, s, P::Msg { len: 64 })];
-        let l = &collect_ledgers(&records)[0];
+        let records = vec![
+            // A bare interposer TLP belongs to no message.
+            TraceRecord {
+                span: None,
+                ..rec(
+                    0,
+                    "MRd",
+                    s,
+                    P::Tlp {
+                        len: 0,
+                        wire: 24,
+                        up: true,
+                    },
+                )
+            },
+            rec(100, kind::POST, s, P::Msg { len: 64 }),
+        ];
+        let ledgers = collect_ledgers(&records);
+        assert_eq!(ledgers.len(), 1, "spanless records are ignored");
+        let l = &ledgers[0];
+        assert_eq!(l.span, s);
         assert!(!l.complete);
+        assert_eq!(l.error, None);
         l.assert_telescopes();
         assert_eq!(l.total(), SimDuration::ZERO);
     }
@@ -723,7 +773,10 @@ mod tests {
             label: "p50",
             capacity: 8,
         };
-        let sum = TailSummary::build(&records, &[(dead, "unreachable")], cfg);
+        let mut ledgers = collect_ledgers(&records);
+        assert_eq!(ledgers[2].span, dead);
+        ledgers[2].error = Some("unreachable");
+        let sum = TailSummary::build(ledgers, cfg);
         assert_eq!(sum.messages(), 2);
         assert_eq!(sum.incomplete(), 1);
         assert_eq!(sum.errors(), 1);
@@ -732,7 +785,10 @@ mod tests {
         assert!(!sum.tail.is_empty());
         assert!(sum.blame.values().sum::<u64>() == sum.tail.len() as u64);
         let retain = sum.retain_set();
-        assert!(retain.contains(&dead), "error spans always retained");
+        assert!(
+            retain.contains(&(dead, RetainReason::Error("unreachable"))),
+            "error spans always retained"
+        );
         // Publishing registers every declared id, even untouched ones.
         let reg = Registry::new();
         sum.publish(&reg);

@@ -9,13 +9,10 @@
 //! * [`registry`] — a deterministic typed metrics registry (counters,
 //!   percentile digests, sampled time series) keyed by stable string ids
 //!   and snapshotted to sorted JSON.
-//! * [`breakdown`] — folds span-correlated [`apenet_sim::trace`]
-//!   records into per-message phase decompositions (post → fetch →
-//!   wire → delivery).
-//! * [`latency`] — the tail-forensics ledger: per-message exact stage
-//!   decompositions (telescoping to end-to-end latency), tail
-//!   selection above a configurable quantile, and dominant-stage
-//!   blame attribution.
+//! * [`latency`] — the one per-message fold: span-correlated
+//!   [`apenet_sim::trace`] records become ledgers of exact stage
+//!   decompositions, which every per-message view projects (Perfetto
+//!   slices, the G-G breakdown, tail blame, SLO windows).
 //! * [`digest`] — deterministic streaming percentile digests with
 //!   exact nearest-rank p50/p90/p99/p999 at the repo's event counts.
 //! * [`recorder`] — the flight recorder: bounded retroactive
@@ -50,7 +47,6 @@
 //! byte-identical (the golden-digest tests enforce this).
 
 pub mod alert;
-pub mod breakdown;
 pub mod digest;
 pub mod error;
 pub mod gate;

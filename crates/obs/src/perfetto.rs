@@ -4,7 +4,8 @@
 //! `chrome://tracing` and <https://ui.perfetto.dev> load. Timestamps are
 //! *simulated* microseconds; each source rank gets its own track (tid),
 //! with one complete ("X") slice per message span and its monotonic
-//! phase partition nested inside. Retransmit-carrying spans are marked
+//! phase partition nested inside — the [`MsgLedger::phases`] projection
+//! of the span's latency ledger. Retransmit-carrying spans are marked
 //! with instant ("i") events so injected-fault runs are visible at a
 //! glance.
 //!
@@ -13,8 +14,9 @@
 //! validator ([`validate_nesting`]) that CI's trace-export smoke step
 //! runs against the generated file.
 
-use crate::breakdown::{self, SpanPhases};
+use crate::latency::{collect_ledgers, MsgLedger};
 use apenet_sim::trace::TraceRecord;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 /// One `trace_event`. Times are integer simulated picoseconds; JSON
@@ -58,30 +60,33 @@ fn slice(name: String, tid: u64, start: u64, end: u64) -> TraceEvent {
     }
 }
 
+/// The metadata event naming track `tid`.
+fn thread_name(tid: u64, name: String) -> TraceEvent {
+    TraceEvent {
+        name: "thread_name".into(),
+        ph: 'M',
+        ts_ps: 0,
+        dur_ps: 0,
+        pid: PID,
+        tid,
+        args: vec![("name".into(), format!("\"{name}\""))],
+    }
+}
+
 /// Export span-correlated `records` as trace events. Spanless records
 /// (bare interposer TLPs) are not exported — the analyzer report covers
 /// those; this view is the per-message timeline.
 pub fn export(records: &[TraceRecord]) -> Vec<TraceEvent> {
-    let spans = breakdown::collect(records);
-    let mut events = Vec::new();
-    let mut ranks: Vec<u32> = spans.iter().map(|s| s.span.src_rank()).collect();
-    ranks.sort_unstable();
-    ranks.dedup();
-    for rank in &ranks {
-        events.push(TraceEvent {
-            name: "thread_name".into(),
-            ph: 'M',
-            ts_ps: 0,
-            dur_ps: 0,
-            pid: PID,
-            tid: *rank as u64 + 1,
-            args: vec![("name".into(), format!("\"rank {rank} tx\""))],
-        });
-    }
-    for sp in &spans {
-        events.extend(span_events(sp, sp.span.src_rank() as u64 + 1));
-    }
-    events
+    let spans = collect_ledgers(records);
+    let ranks: BTreeSet<u32> = spans.iter().map(|l| l.span.src_rank()).collect();
+    let tid = |rank: u32| rank as u64 + 1;
+    let tracks = ranks
+        .iter()
+        .map(|&r| thread_name(tid(r), format!("rank {r} tx")));
+    let slices = spans
+        .iter()
+        .flat_map(|l| span_events(l, tid(l.span.src_rank())));
+    tracks.chain(slices).collect()
 }
 
 /// Like [`export`], but every span gets its own track (tid), named
@@ -91,35 +96,22 @@ pub fn export(records: &[TraceRecord]) -> Vec<TraceEvent> {
 /// track per message keeps proper nesting by construction. Span order
 /// (and so tid assignment) is the deterministic [`SpanId`] order.
 pub fn export_per_span(records: &[TraceRecord]) -> Vec<TraceEvent> {
-    let spans = breakdown::collect(records);
-    let mut events = Vec::new();
-    for (i, sp) in spans.iter().enumerate() {
-        let tid = i as u64 + 1;
-        events.push(TraceEvent {
-            name: "thread_name".into(),
-            ph: 'M',
-            ts_ps: 0,
-            dur_ps: 0,
-            pid: PID,
-            tid,
-            args: vec![(
-                "name".into(),
-                format!("\"rank {} msg {}\"", sp.span.src_rank(), sp.span),
-            )],
-        });
-        events.extend(span_events(sp, tid));
-    }
-    events
+    let spans = collect_ledgers(records);
+    let tracks = spans.iter().zip(1..).flat_map(|(l, tid)| {
+        let name = format!("rank {} msg {}", l.span.src_rank(), l.span);
+        std::iter::once(thread_name(tid, name)).chain(span_events(l, tid))
+    });
+    tracks.collect()
 }
 
-fn span_events(sp: &SpanPhases, tid: u64) -> Vec<TraceEvent> {
-    let [t0, t1, t2, t3] = sp.boundaries().map(|t| t.as_ps());
-    let mut parent = slice(format!("msg {}", sp.span), tid, t0, t3.max(t0 + 1));
+fn span_events(l: &MsgLedger, tid: u64) -> Vec<TraceEvent> {
+    let [t0, t1, t2, t3] = l.phases().map(|t| t.as_ps());
+    let mut parent = slice(format!("msg {}", l.span), tid, t0, t3.max(t0 + 1));
     parent.args = vec![
-        ("len".into(), sp.msg_len.to_string()),
-        ("frames".into(), sp.frames.to_string()),
-        ("retransmits".into(), sp.retransmits.to_string()),
-        ("fetch_bytes".into(), sp.fetch_bytes.to_string()),
+        ("len".into(), l.len.to_string()),
+        ("frames".into(), l.frames.to_string()),
+        ("retransmits".into(), l.retransmits.to_string()),
+        ("fetch_bytes".into(), l.fetch_bytes.to_string()),
     ];
     let mut out = vec![parent];
     // The phase partition: children tile [t0, t3] monotonically, so
@@ -129,9 +121,9 @@ fn span_events(sp: &SpanPhases, tid: u64) -> Vec<TraceEvent> {
             out.push(slice(name.into(), tid, a, b));
         }
     }
-    if sp.retransmits > 0 {
+    if l.retransmits > 0 {
         out.push(TraceEvent {
-            name: format!("retransmits x{}", sp.retransmits),
+            name: format!("retransmits x{}", l.retransmits),
             ph: 'i',
             ts_ps: t1,
             dur_ps: 0,
@@ -230,14 +222,12 @@ fn escape(s: &str) -> String {
 /// counter track from its samples in file order). Returns the number of
 /// validated slices plus counter samples.
 pub fn validate_nesting(events: &[TraceEvent]) -> Result<usize, String> {
-    let mut tracks: std::collections::BTreeMap<(u32, u64), Vec<&TraceEvent>> =
-        std::collections::BTreeMap::new();
+    let mut tracks: BTreeMap<(u32, u64), Vec<&TraceEvent>> = BTreeMap::new();
     for e in events.iter().filter(|e| e.ph == 'X') {
         tracks.entry((e.pid, e.tid)).or_default().push(e);
     }
     let mut checked = 0;
-    let mut counter_ts: std::collections::BTreeMap<(u32, &str), u64> =
-        std::collections::BTreeMap::new();
+    let mut counter_ts: BTreeMap<(u32, &str), u64> = BTreeMap::new();
     for e in events.iter().filter(|e| e.ph == 'C') {
         if e.args.is_empty() {
             return Err(format!("counter {:?} sample carries no value args", e.name));
@@ -478,6 +468,10 @@ mod tests {
         }
     }
 
+    fn frame(seq: u64, wire: u64, retrans: bool) -> P {
+        P::Frame { seq, wire, retrans }
+    }
+
     fn sample_records() -> Vec<TraceRecord> {
         let mut v = Vec::new();
         for (rank, base) in [(0u32, 0u64), (1, 500)] {
@@ -485,26 +479,8 @@ mod tests {
                 let s = SpanId::from_msg(rank, seq);
                 let t = base + seq * 200;
                 v.push(rec(t + 10, kind::POST, s, P::Msg { len: 4096 }));
-                v.push(rec(
-                    t + 30,
-                    kind::FRAME_TX,
-                    s,
-                    P::Frame {
-                        seq,
-                        wire: 4200,
-                        retrans: false,
-                    },
-                ));
-                v.push(rec(
-                    t + 60,
-                    kind::FRAME_RX,
-                    s,
-                    P::Frame {
-                        seq,
-                        wire: 4200,
-                        retrans: false,
-                    },
-                ));
+                v.push(rec(t + 30, kind::FRAME_TX, s, frame(seq, 4200, false)));
+                v.push(rec(t + 60, kind::FRAME_RX, s, frame(seq, 4200, false)));
                 v.push(rec(t + 80, kind::DELIVERED, s, P::Msg { len: 4096 }));
             }
         }
@@ -548,26 +524,8 @@ mod tests {
             let s = SpanId::from_msg(0, seq);
             let t = seq * 40; // overlaps the previous message's link phase
             v.push(rec(t + 10, kind::POST, s, P::Msg { len: 4096 }));
-            v.push(rec(
-                t + 30,
-                kind::FRAME_TX,
-                s,
-                P::Frame {
-                    seq,
-                    wire: 4200,
-                    retrans: false,
-                },
-            ));
-            v.push(rec(
-                t + 120,
-                kind::FRAME_RX,
-                s,
-                P::Frame {
-                    seq,
-                    wire: 4200,
-                    retrans: false,
-                },
-            ));
+            v.push(rec(t + 30, kind::FRAME_TX, s, frame(seq, 4200, false)));
+            v.push(rec(t + 120, kind::FRAME_RX, s, frame(seq, 4200, false)));
             v.push(rec(t + 140, kind::DELIVERED, s, P::Msg { len: 4096 }));
         }
         assert!(
@@ -635,40 +593,61 @@ mod tests {
     }
 
     #[test]
+    fn slices_project_the_ledger_for_get_and_incomplete_spans() {
+        let get = SpanId::from_msg(0, 0);
+        let lost = SpanId::from_msg(1, 0);
+        let records = vec![
+            // GET: the read request goes onto the wire before the
+            // responder fetches, so the link phase starts only once the
+            // response is staged, past the request's FRAME_TX.
+            rec(10, kind::POST, get, P::Msg { len: 64 }),
+            rec(20, kind::FRAME_TX, get, frame(0, 100, false)),
+            rec(40, kind::FETCH, get, P::Bytes { len: 64 }),
+            rec(45, kind::STAGE, get, P::Bytes { len: 64 }),
+            rec(50, kind::FRAME_TX, get, frame(0, 100, false)),
+            rec(80, kind::FRAME_RX, get, frame(0, 100, false)),
+            rec(100, kind::DELIVERED, get, P::Msg { len: 64 }),
+            // Incomplete: never delivered, and a replay long after the
+            // last observed boundary does not stretch the message.
+            rec(10, kind::POST, lost, P::Msg { len: 64 }),
+            rec(30, kind::FRAME_TX, lost, frame(0, 100, false)),
+            rec(60, kind::FRAME_RX, lost, frame(0, 100, false)),
+            rec(70, kind::RX_WRITE, lost, P::Bytes { len: 64 }),
+            rec(5_000, kind::FRAME_TX, lost, frame(0, 100, true)),
+        ];
+        let events = export_per_span(&records);
+        validate_nesting(&events).expect("per-span tracks nest");
+        let ledgers = collect_ledgers(&records);
+        for (tid, l, ns) in [
+            (1, &ledgers[0], [10, 45, 80, 100]),
+            (2, &ledgers[1], [10, 30, 60, 70]),
+        ] {
+            let [t0, t1, t2, t3] = ns.map(|t| t * 1000);
+            assert_eq!(l.phases().map(|t| t.as_ps()), [t0, t1, t2, t3]);
+            let parent = format!("msg {}", l.span);
+            let slices: Vec<(&str, u64, u64)> = events
+                .iter()
+                .filter(|e| e.ph == 'X' && e.tid == tid)
+                .map(|e| (e.name.as_str(), e.ts_ps, e.end_ps()))
+                .collect();
+            let want = [
+                (parent.as_str(), t0, t3),
+                ("tx-pipeline", t0, t1),
+                ("link", t1, t2),
+                ("rx", t2, t3),
+            ];
+            assert_eq!(slices, want, "{parent}");
+        }
+    }
+
+    #[test]
     fn instants_mark_retransmitting_spans() {
         let s = SpanId::from_msg(0, 0);
         let records = vec![
             rec(10, kind::POST, s, P::Msg { len: 64 }),
-            rec(
-                20,
-                kind::FRAME_TX,
-                s,
-                P::Frame {
-                    seq: 0,
-                    wire: 100,
-                    retrans: false,
-                },
-            ),
-            rec(
-                40,
-                kind::FRAME_TX,
-                s,
-                P::Frame {
-                    seq: 0,
-                    wire: 100,
-                    retrans: true,
-                },
-            ),
-            rec(
-                60,
-                kind::FRAME_RX,
-                s,
-                P::Frame {
-                    seq: 0,
-                    wire: 100,
-                    retrans: false,
-                },
-            ),
+            rec(20, kind::FRAME_TX, s, frame(0, 100, false)),
+            rec(40, kind::FRAME_TX, s, frame(0, 100, true)),
+            rec(60, kind::FRAME_RX, s, frame(0, 100, false)),
             rec(70, kind::DELIVERED, s, P::Msg { len: 64 }),
         ];
         let events = export(&records);

@@ -157,6 +157,11 @@ mod tests {
     use apenet_sim::SimTime;
 
     fn span_records(s: SpanId, base_ns: u64) -> Vec<TraceRecord> {
+        let frame = P::Frame {
+            seq: 0,
+            wire: 4200,
+            retrans: false,
+        };
         let rec = |at_ns: u64, k: &'static str, p: P| TraceRecord {
             at: SimTime::from_ps((base_ns + at_ns) * 1000),
             source: "card",
@@ -166,24 +171,8 @@ mod tests {
         };
         vec![
             rec(0, kind::POST, P::Msg { len: 4096 }),
-            rec(
-                10,
-                kind::FRAME_TX,
-                P::Frame {
-                    seq: 0,
-                    wire: 4200,
-                    retrans: false,
-                },
-            ),
-            rec(
-                20,
-                kind::FRAME_RX,
-                P::Frame {
-                    seq: 0,
-                    wire: 4200,
-                    retrans: false,
-                },
-            ),
+            rec(10, kind::FRAME_TX, frame.clone()),
+            rec(20, kind::FRAME_RX, frame),
             rec(30, kind::DELIVERED, P::Msg { len: 4096 }),
         ]
     }

@@ -300,6 +300,7 @@ mod tests {
             frames: 1,
             retransmits: 0,
             detours: 0,
+            fetch_bytes: 0,
             complete: error.is_none(),
             error,
         }

@@ -16,6 +16,9 @@ cargo build --workspace --release --offline
 echo "==> cargo test"
 cargo test --workspace --offline -q
 
+echo "==> benchmark package (outside the workspace; compiled against the entry points it times)"
+cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
+
 echo "==> trace-export smoke (Perfetto exporter self-validates nesting + JSON; exports match committed)"
 cargo run --release --offline -q -p apenet-bench --bin trace-export
 
