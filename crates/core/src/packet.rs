@@ -7,6 +7,7 @@
 
 use crate::coord::Coord;
 use apenet_sim::bytes::PayloadSlice;
+use apenet_sim::crc::Crc32;
 use apenet_sim::trace::SpanId;
 
 /// Maximum payload of one APEnet+ packet.
@@ -72,7 +73,10 @@ pub struct ApePacket {
     /// source once a marked message completes, carrying no payload and
     /// consuming no completion — the sender's pacer eats it.
     pub cnp: bool,
-    /// Header checksum (set by [`ApePacket::seal`], checked on RX).
+    /// Frame checksum: CRC-32 over `payload || header`, set when the
+    /// packet is built (or re-marked) and checked by [`ApePacket::verify`]
+    /// at every link RX. The payload part is the payload's memoized CRC,
+    /// so sealing and each hop's check hash only the header.
     pub crc: u32,
 }
 
@@ -101,7 +105,7 @@ impl ApePacket {
             cnp: false,
             crc: 0,
         };
-        p.crc = p.compute_crc();
+        p.seal();
         p
     }
 
@@ -128,7 +132,7 @@ impl ApePacket {
             cnp: false,
             crc: 0,
         };
-        p.crc = p.compute_crc();
+        p.seal();
         p
     }
 
@@ -149,7 +153,7 @@ impl ApePacket {
             cnp: true,
             crc: 0,
         };
-        p.crc = p.compute_crc();
+        p.seal();
         p
     }
 
@@ -170,7 +174,7 @@ impl ApePacket {
     pub fn mark_ecn(&mut self) {
         if !self.ecn {
             self.ecn = true;
-            self.crc = self.compute_crc();
+            self.seal();
         }
     }
 
@@ -189,11 +193,19 @@ impl ApePacket {
         APE_PACKET_OVERHEAD + self.len()
     }
 
-    fn compute_crc(&self) -> u32 {
-        // CRC-32/ISO-HDLC over header fields and payload — enough to catch
-        // the corruption the tests inject; the real card uses link-level
-        // CRC blocks in the Stratix transceivers.
-        let mut crc = Crc32::new();
+    /// Set `crc`, hashing the payload only if it carries no memo yet
+    /// (and memoizing it) — re-sealing a marked frame hashes the header.
+    fn seal(&mut self) {
+        let payload_crc = self.payload.seal_crc();
+        self.crc = self.header_crc(payload_crc);
+    }
+
+    /// CRC-32/ISO-HDLC over `payload || header`, resumed from the
+    /// payload's CRC — enough to catch the corruption the tests inject;
+    /// the real card uses link-level CRC blocks in the Stratix
+    /// transceivers.
+    fn header_crc(&self, payload_crc: u32) -> u32 {
+        let mut crc = Crc32::resume(payload_crc);
         crc.update(&[
             self.dst.x, self.dst.y, self.dst.z, self.src.x, self.src.y, self.src.z,
         ]);
@@ -214,13 +226,15 @@ impl ApePacket {
         // The congestion bits are header bits too: corruption must not
         // forge a mark, erase one, or turn a data frame into a CNP.
         crc.update(&[self.ecn as u8, self.cnp as u8]);
-        crc.update(&self.payload);
         crc.finish()
     }
 
-    /// Verify integrity.
+    /// Verify integrity. A payload still carrying its seal-time memo is
+    /// not re-hashed: only [`PayloadSlice::make_mut`] can change its
+    /// bytes, and that drops the memo, so corrupted bytes are always
+    /// hashed afresh.
     pub fn verify(&self) -> bool {
-        self.crc == self.compute_crc()
+        self.crc == self.header_crc(self.payload.crc32())
     }
 }
 
@@ -233,85 +247,10 @@ pub fn fragments(len: u64) -> impl Iterator<Item = (u64, u32)> {
         .chain((rem > 0).then_some((full * APE_MAX_PAYLOAD as u64, rem)))
 }
 
-/// A small, dependency-free CRC-32 (polynomial 0xEDB88320).
-///
-/// Table-driven "slice-by-8": 8 compile-time tables let the payload loop
-/// consume 8 bytes per iteration with no per-bit work. Every packet is
-/// sealed at the TX stage and verified at each link RX, with payloads up
-/// to 4 KiB, so this sits squarely on the simulator's hot path — the
-/// bit-at-a-time version it replaced dominated real-run wall time.
-/// Output is identical to the bitwise definition (the reference check
-/// value CRC32("123456789") = 0xCBF43926 is pinned in tests).
-struct Crc32 {
-    state: u32,
-}
-
-/// `TABLES[0]` is the classic per-byte CRC table; `TABLES[k][b]` extends
-/// `TABLES[k-1][b]` by one zero byte, so 8 lookups advance 8 bytes.
-static CRC32_TABLES: [[u32; 256]; 8] = build_crc32_tables();
-
-const fn build_crc32_tables() -> [[u32; 256]; 8] {
-    let mut tables = [[0u32; 256]; 8];
-    let mut b = 0usize;
-    while b < 256 {
-        let mut crc = b as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-            bit += 1;
-        }
-        tables[0][b] = crc;
-        b += 1;
-    }
-    let mut k = 1;
-    while k < 8 {
-        let mut b = 0usize;
-        while b < 256 {
-            let prev = tables[k - 1][b];
-            tables[k][b] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
-            b += 1;
-        }
-        k += 1;
-    }
-    tables
-}
-
-impl Crc32 {
-    fn new() -> Self {
-        Crc32 { state: 0xFFFF_FFFF }
-    }
-
-    fn update(&mut self, data: &[u8]) {
-        let t = &CRC32_TABLES;
-        let mut chunks = data.chunks_exact(8);
-        let mut crc = self.state;
-        for c in &mut chunks {
-            let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
-            let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
-            crc = t[7][(lo & 0xFF) as usize]
-                ^ t[6][((lo >> 8) & 0xFF) as usize]
-                ^ t[5][((lo >> 16) & 0xFF) as usize]
-                ^ t[4][(lo >> 24) as usize]
-                ^ t[3][(hi & 0xFF) as usize]
-                ^ t[2][((hi >> 8) & 0xFF) as usize]
-                ^ t[1][((hi >> 16) & 0xFF) as usize]
-                ^ t[0][(hi >> 24) as usize];
-        }
-        for &b in chunks.remainder() {
-            crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-        }
-        self.state = crc;
-    }
-
-    fn finish(self) -> u32 {
-        !self.state
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apenet_sim::bytes::hashed_bytes;
 
     fn packet(payload: Vec<u8>) -> ApePacket {
         ApePacket::new(
@@ -434,12 +373,16 @@ mod tests {
         assert!(!w.verify(), "write must not decay into a CNP");
     }
 
-    #[test]
-    fn crc_reference_value() {
-        // Standard check value: CRC-32("123456789") = 0xCBF43926.
-        let mut c = Crc32::new();
-        c.update(b"123456789");
-        assert_eq!(c.finish(), 0xCBF4_3926);
+    /// True when `f` can run without any payload byte being hashed. The
+    /// hash counter is process-wide and other tests hash concurrently,
+    /// so a few attempts are allowed; code that always hashes a
+    /// non-empty payload fails every one of them.
+    fn hashes_no_payload(mut f: impl FnMut()) -> bool {
+        (0..8).any(|_| {
+            let before = hashed_bytes();
+            f();
+            hashed_bytes() == before
+        })
     }
 
     /// Adversarial CRC property: every corruption class the link layer's
@@ -523,6 +466,39 @@ mod tests {
             let mut cn = p.clone();
             cn.cnp = !cn.cnp;
             assert!(!cn.verify(), "cnp flip");
+
+            // A clone carries the seal-time payload memo; corrupting it
+            // after sealing (copy-on-write) must still be caught, as must
+            // an in-place write to a sole-owner payload.
+            let mut memo = p.clone();
+            let i = g.usize(0, memo.payload.len());
+            memo.payload.make_mut()[i] ^= 1 << g.u32(0, 8);
+            assert!(!memo.verify(), "corrupted memo-carrying clone");
+            let mut own = packet(p.payload.to_vec());
+            own.payload.make_mut()[i] ^= 1 << g.u32(0, 8);
+            assert!(!own.verify(), "in-place corruption of a sealed payload");
+
+            // Swapping in another sealed packet's payload (same length,
+            // different bytes, its own valid memo) is caught.
+            let mut other = g.bytes(p.payload.len(), p.payload.len());
+            if other == p.payload.as_slice() {
+                other[0] ^= 0xFF;
+            }
+            let mut swapped = p.clone();
+            swapped.payload = packet(other).payload;
+            assert!(!swapped.verify(), "swapped sealed payload");
+
+            // An ECN-marking hop re-seals the header onto the memoized
+            // payload CRC: the marked frame verifies, and neither the
+            // re-seal nor the check hashes a payload byte.
+            assert!(
+                hashes_no_payload(|| {
+                    let mut marked = p.clone();
+                    marked.mark_ecn();
+                    assert!(marked.ecn && marked.verify(), "marked frame verifies");
+                }),
+                "mark_ecn re-hashed the payload"
+            );
         });
     }
 }

@@ -11,9 +11,16 @@
 //! * mutation (fault injection, writes to a shared memory page) is
 //!   copy-on-write of only the aliased bytes.
 //!
-//! The module keeps a global [`copied_bytes`] counter so tests can assert
-//! that a clean datapath really performs zero payload copies.
+//! A slice also memoizes its CRC-32 once sealed ([`PayloadSlice::seal_crc`]),
+//! so a packet's payload is hashed once however many hops verify it.
+//! [`PayloadSlice::make_mut`] is the only way to change the viewed bytes,
+//! and it always drops the memo: corrupted bytes are always re-hashed.
+//!
+//! The module keeps global [`copied_bytes`] and [`hashed_bytes`] counters
+//! so tests can assert that a clean datapath really performs zero payload
+//! copies and one CRC pass per payload.
 
+use crate::crc::Crc32;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -33,14 +40,27 @@ pub fn copied_bytes() -> u64 {
     COPIED_BYTES.load(Ordering::Relaxed)
 }
 
+/// Payload bytes fed through CRC-32, process-wide.
+static HASHED_BYTES: AtomicU64 = AtomicU64::new(0);
+
+/// Total payload bytes hashed since process start. Monotone; compare
+/// before/after a region to count its CRC passes.
+pub fn hashed_bytes() -> u64 {
+    HASHED_BYTES.load(Ordering::Relaxed)
+}
+
 /// An immutable, cheaply clonable view of a byte range inside a shared
 /// buffer. Cloning and narrowing never copy; [`PayloadSlice::make_mut`]
 /// copies only when the bytes are actually shared.
+///
+/// Clones keep the CRC memo; equality ignores it.
 #[derive(Clone)]
 pub struct PayloadSlice {
     buf: Arc<[u8]>,
     start: usize,
     len: usize,
+    /// CRC-32 of the viewed bytes, filled only by [`Self::seal_crc`].
+    crc: Option<u32>,
 }
 
 impl PayloadSlice {
@@ -52,6 +72,7 @@ impl PayloadSlice {
             buf,
             start: 0,
             len: 0,
+            crc: None,
         }
     }
 
@@ -62,13 +83,19 @@ impl PayloadSlice {
             buf: v.into(),
             start: 0,
             len,
+            crc: None,
         }
     }
 
     /// Share an existing buffer (refcount bump).
     pub fn from_arc(buf: Arc<[u8]>) -> Self {
         let len = buf.len();
-        PayloadSlice { buf, start: 0, len }
+        PayloadSlice {
+            buf,
+            start: 0,
+            len,
+            crc: None,
+        }
     }
 
     /// A sub-range of this slice, relative to its start. Zero-copy.
@@ -84,6 +111,7 @@ impl PayloadSlice {
             buf: self.buf.clone(),
             start: self.start + offset,
             len,
+            crc: None,
         }
     }
 
@@ -108,10 +136,31 @@ impl PayloadSlice {
         self.start == 0 && self.len == self.buf.len() && Arc::strong_count(&self.buf) == 1
     }
 
+    /// CRC-32 of the viewed bytes: the memo when sealed, else a fresh
+    /// pass that is not stored.
+    pub fn crc32(&self) -> u32 {
+        self.crc.unwrap_or_else(|| self.hash())
+    }
+
+    /// CRC-32 of the viewed bytes, computed at most once and memoized
+    /// until the next [`Self::make_mut`].
+    pub fn seal_crc(&mut self) -> u32 {
+        match self.crc {
+            Some(crc) => crc,
+            None => *self.crc.insert(self.hash()),
+        }
+    }
+
+    fn hash(&self) -> u32 {
+        HASHED_BYTES.fetch_add(self.len as u64, Ordering::Relaxed);
+        Crc32::of(self.as_slice())
+    }
+
     /// Mutable access, copy-on-write: when the backing buffer is shared
     /// (or only partially viewed), the viewed range — and nothing more —
-    /// is copied into a fresh buffer first.
+    /// is copied into a fresh buffer first. Always drops the CRC memo.
     pub fn make_mut(&mut self) -> &mut [u8] {
+        self.crc = None;
         if !self.is_unique() {
             note_copy(self.len as u64);
             let owned: Arc<[u8]> = Arc::from(self.as_slice());
@@ -157,9 +206,18 @@ impl std::fmt::Debug for PayloadSlice {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Tests that count copies on the process-wide counter take turns,
+    /// so no other test in this binary copies while one counts.
+    fn copy_counter_turn() -> MutexGuard<'static, ()> {
+        static TURN: Mutex<()> = Mutex::new(());
+        TURN.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn narrow_is_zero_copy() {
+        let _turn = copy_counter_turn();
         let base = copied_bytes();
         let p = PayloadSlice::from_vec((0..=255u8).cycle().take(8192).collect());
         let a = p.narrow(0, 4096);
@@ -171,6 +229,7 @@ mod tests {
 
     #[test]
     fn make_mut_copies_only_when_shared() {
+        let _turn = copy_counter_turn();
         let mut sole = PayloadSlice::from_vec(vec![1u8; 64]);
         let base = copied_bytes();
         sole.make_mut()[0] = 9;
@@ -186,6 +245,7 @@ mod tests {
 
     #[test]
     fn make_mut_on_narrow_copies_only_the_view() {
+        let _turn = copy_counter_turn();
         let whole = PayloadSlice::from_vec(vec![7u8; 4096]);
         let mut frag = whole.narrow(1024, 16);
         let base = copied_bytes();

@@ -18,7 +18,9 @@
 //!   harness ([`stats`]);
 //! * a byte-accounted bounded **FIFO** with almost-full watermarks
 //!   ([`fifo::ByteFifo`]) — the building block of the APEnet+ flow control;
-//! * lightweight **tracing** ([`trace`]) used by the PCIe bus-analyzer model.
+//! * lightweight **tracing** ([`trace`]) used by the PCIe bus-analyzer model;
+//! * a slice-by-8 **CRC-32** ([`crc::Crc32`]) that [`bytes::PayloadSlice`]
+//!   memoizes, so the packet CRC hashes each payload once.
 //!
 //! The hardware crates (`apenet-pcie`, `apenet-gpu`, `apenet-core`, …) are
 //! written "sans-engine": they expose state machines implementing
@@ -48,6 +50,7 @@
 pub mod bytes;
 pub mod calendar;
 pub mod check;
+pub mod crc;
 pub mod engine;
 pub mod fault;
 pub mod fifo;

@@ -33,6 +33,10 @@ cargo run --release --offline -q -p apenet-bench --bin sim-profile
 cargo run --release --offline -q -p apenet-bench --bin congestion-heatmap
 git diff --exit-code -- results/sim_profile.txt results/congestion_heatmap.txt
 
+echo "==> G-G P2P vs staged bandwidth (fig07, the per-byte datapath, matches committed)"
+cargo run --release --offline -q -p apenet-bench --bin fig07
+git diff --exit-code -- results/fig07.txt
+
 echo "==> scheduler equivalence (calendar queue vs heap model, debug assertions on)"
 # The test profile keeps debug_assert! live, so the calendar's internal
 # invariants (floor monotonicity, cache coherence) are checked on every
