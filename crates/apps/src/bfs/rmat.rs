@@ -32,26 +32,37 @@ pub fn generate_with(scale: u32, edgefactor: u32, seed: u64, permute: bool) -> V
     if permute {
         rng.shuffle(&mut perm);
     }
+    let t = thresholds();
     let mut edges = Vec::with_capacity(m as usize);
     for _ in 0..m {
         let (mut u, mut v) = (0u64, 0u64);
         for _ in 0..scale {
-            let r = rng.next_f64();
-            let (ub, vb) = if r < RMAT_A {
-                (0, 0)
-            } else if r < RMAT_A + RMAT_B {
-                (0, 1)
-            } else if r < RMAT_A + RMAT_B + RMAT_C {
-                (1, 0)
-            } else {
-                (1, 1)
-            };
+            let (ub, vb) = quadrant(rng.next_u64() >> 11, t);
             u = (u << 1) | ub;
             v = (v << 1) | vb;
         }
         edges.push((perm[u as usize], perm[v as usize]));
     }
     edges
+}
+
+/// The quadrant thresholds on the 53-bit draw `k = next_u64() >> 11`.
+///
+/// `next_f64()` is `k · 2^-53`, exactly, and scaling the f64 cumulative
+/// sum `t` by `2^53` is exact too, so `k · 2^-53 < t` holds exactly when
+/// `k < t · 2^53`, i.e. when `k < ceil(t · 2^53)` for integer `k`. The
+/// integer comparisons therefore pick the same quadrant as the f64 ones
+/// on every draw.
+fn thresholds() -> [u64; 3] {
+    let scale = (1u64 << 53) as f64;
+    [RMAT_A, RMAT_A + RMAT_B, RMAT_A + RMAT_B + RMAT_C].map(|t| (t * scale).ceil() as u64)
+}
+
+/// The `(u, v)` bits of draw `k`, without branches: A = (0, 0) below
+/// `t1`, B = (0, 1) below `t2`, C = (1, 0) below `t3`, else D = (1, 1).
+#[inline]
+fn quadrant(k: u64, [t1, t2, t3]: [u64; 3]) -> (u64, u64) {
+    ((k >= t2) as u64, ((k >= t1) & (k < t2) | (k >= t3)) as u64)
 }
 
 /// [`generate_with`] with the graph500 relabelling enabled.
@@ -62,6 +73,77 @@ pub fn generate(scale: u32, edgefactor: u32, seed: u64) -> Vec<(u32, u32)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The f64 generator [`generate_with`] replaced: same RNG stream,
+    /// quadrant picked by comparing `next_f64()` with the cumulative sums.
+    fn generate_f64(scale: u32, edgefactor: u32, seed: u64, permute: bool) -> Vec<(u32, u32)> {
+        let n = 1u64 << scale;
+        let m = n * edgefactor as u64;
+        let mut rng = Xoshiro256ss::seed_from(seed);
+        let mut perm: Vec<u32> = (0..n as u32).collect();
+        if permute {
+            rng.shuffle(&mut perm);
+        }
+        let mut edges = Vec::with_capacity(m as usize);
+        for _ in 0..m {
+            let (mut u, mut v) = (0u64, 0u64);
+            for _ in 0..scale {
+                let (ub, vb) = f64_quadrant(rng.next_f64());
+                u = (u << 1) | ub;
+                v = (v << 1) | vb;
+            }
+            edges.push((perm[u as usize], perm[v as usize]));
+        }
+        edges
+    }
+
+    fn f64_quadrant(r: f64) -> (u64, u64) {
+        if r < RMAT_A {
+            (0, 0)
+        } else if r < RMAT_A + RMAT_B {
+            (0, 1)
+        } else if r < RMAT_A + RMAT_B + RMAT_C {
+            (1, 0)
+        } else {
+            (1, 1)
+        }
+    }
+
+    #[test]
+    fn integer_thresholds_give_the_f64_edge_lists() {
+        for scale in [4, 10, 14] {
+            for seed in [7, 499, 500, 1500] {
+                for permute in [false, true] {
+                    assert_eq!(
+                        generate_with(scale, 16, seed, permute),
+                        generate_f64(scale, 16, seed, permute),
+                        "scale {scale} seed {seed} permute {permute}"
+                    );
+                }
+            }
+        }
+        assert_eq!(
+            generate_with(16, 16, 1500, true),
+            generate_f64(16, 16, 1500, true)
+        );
+    }
+
+    #[test]
+    fn each_threshold_boundary_matches_the_f64_compare() {
+        let t = thresholds();
+        let last = (1u64 << 53) - 1;
+        let mut ks = vec![0, 1, last - 1, last];
+        for tk in t {
+            assert!(0 < tk && tk <= last, "threshold {tk} inside the draw range");
+            // Each boundary separates two different quadrants.
+            assert_ne!(quadrant(tk - 1, t), quadrant(tk, t), "T = {tk}");
+            ks.extend([tk - 1, tk]);
+        }
+        for k in ks {
+            let r = k as f64 * (1.0 / (1u64 << 53) as f64);
+            assert_eq!(quadrant(k, t), f64_quadrant(r), "k = {k}");
+        }
+    }
 
     #[test]
     fn deterministic_and_sized() {

@@ -22,6 +22,7 @@ use apenet_rdma::api::SrcHint;
 use apenet_sim::{SimDuration, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Run parameters.
 #[derive(Debug, Clone)]
@@ -105,7 +106,7 @@ struct RankDone {
 
 struct BfsRank {
     cfg: BfsConfig,
-    g: Rc<Csr>,
+    g: Arc<Csr>,
     state: RankState,
     rank: usize,
     // GPU buffer layout: send and recv slots by peer *position*
@@ -317,6 +318,35 @@ impl HostProgram for BfsRank {
     }
 }
 
+/// What identifies a graph: `(scale, edgefactor, seed, permute)`.
+type GraphKey = (u32, u32, u64, bool);
+
+/// The graph cache: the last graph built, with its key.
+static GRAPH: Mutex<Option<(GraphKey, Arc<Csr>)>> = Mutex::new(None);
+
+/// The graph `cfg` traverses: the R-MAT graph of `cfg`'s scale,
+/// edgefactor, seed and labelling, in CSR form.
+///
+/// A process-wide cache holds the last graph built, so the runs of one
+/// table share one build. It holds one entry: a new key drops the old
+/// graph before building, so at most one cached graph is ever resident
+/// (a scale-20 CSR is over 100 MB). The build runs under the cache
+/// lock, so concurrent callers asking for one key build it once.
+pub fn graph(cfg: &BfsConfig) -> Arc<Csr> {
+    let key = (cfg.scale, cfg.edgefactor, cfg.seed, cfg.permute);
+    let mut slot = GRAPH.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some((k, g)) = slot.as_ref() {
+        if *k == key {
+            return g.clone();
+        }
+    }
+    *slot = None;
+    let edges = crate::bfs::rmat::generate_with(cfg.scale, cfg.edgefactor, cfg.seed, cfg.permute);
+    let g = Arc::new(Csr::build(1 << cfg.scale, &edges));
+    *slot = Some((key, g.clone()));
+    g
+}
+
 /// Run the APEnet+ version (GPU peer-to-peer, Table IV left column).
 pub fn run_apenet(cfg: &BfsConfig) -> BfsResult {
     run_apenet_on(cfg, cluster_i_default())
@@ -325,8 +355,7 @@ pub fn run_apenet(cfg: &BfsConfig) -> BfsResult {
 /// Run the APEnet+ version on a custom node configuration.
 pub fn run_apenet_on(cfg: &BfsConfig, node_cfg: NodeConfig) -> BfsResult {
     let n = 1usize << cfg.scale;
-    let edges = crate::bfs::rmat::generate_with(cfg.scale, cfg.edgefactor, cfg.seed, cfg.permute);
-    let g = Rc::new(Csr::build(n, &edges));
+    let g = graph(cfg);
     let part = Partition { n, np: cfg.np };
     let slot_bytes = 4 + 8 * max_message_pairs(&g, part, cfg.root);
     let done = Rc::new(RefCell::new(
@@ -431,8 +460,7 @@ fn finish(_cfg: &BfsConfig, g: &Csr, part: Partition, ranks: &[RankDone]) -> Bfs
 /// over the local PCIe (device-to-device copy) instead of the wire.
 pub fn run_ib(cfg: &BfsConfig, ib: IbConfig) -> BfsResult {
     let n = 1usize << cfg.scale;
-    let edges = crate::bfs::rmat::generate_with(cfg.scale, cfg.edgefactor, cfg.seed, cfg.permute);
-    let g = Csr::build(n, &edges);
+    let g = graph(cfg);
     let part = Partition { n, np: cfg.np };
     let cost = BfsCost {
         derate: BfsCost::cluster_ii().derate,
@@ -520,5 +548,102 @@ pub fn run_ib(cfg: &BfsConfig, ib: IbConfig) -> BfsResult {
         levels: level as u32 + 1,
         breakdown: comp.into_iter().zip(comm).collect(),
         tree,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::{Barrier, MutexGuard};
+
+    /// The cache is process-wide: its tests take turns.
+    fn lock() -> MutexGuard<'static, ()> {
+        static TURN: Mutex<()> = Mutex::new(());
+        TURN.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn cfg(scale: u32, seed: u64) -> BfsConfig {
+        BfsConfig {
+            seed,
+            ..BfsConfig::small(scale, 2)
+        }
+    }
+
+    #[test]
+    fn a_hit_returns_the_cached_graph() {
+        let _turn = lock();
+        let a = graph(&cfg(8, 1));
+        let mut other_np = cfg(8, 1);
+        other_np.np = 8;
+        other_np.root = 3;
+        assert!(
+            Arc::ptr_eq(&a, &graph(&other_np)),
+            "np and root are not in the key"
+        );
+        let edges = crate::bfs::rmat::generate_with(8, 16, 1, false);
+        assert_eq!(
+            a.undirected_edges(),
+            Csr::build(256, &edges).undirected_edges()
+        );
+    }
+
+    #[test]
+    fn a_new_key_evicts_the_old_graph() {
+        let _turn = lock();
+        let old = graph(&cfg(8, 2));
+        let weak = Arc::downgrade(&old);
+        drop(old);
+        let mut permuted = cfg(8, 2);
+        permuted.permute = true;
+        let new = graph(&permuted);
+        assert!(weak.upgrade().is_none(), "the old graph is no longer held");
+        assert!(
+            !Arc::ptr_eq(&new, &graph(&cfg(8, 2))),
+            "rebuilt after eviction"
+        );
+    }
+
+    #[test]
+    fn concurrent_callers_of_one_key_build_once() {
+        let _turn = lock();
+        graph(&cfg(6, 3)); // another key, so both callers miss
+        let start = Barrier::new(2);
+        let key = cfg(12, 3);
+        let (a, b) = std::thread::scope(|s| {
+            let get = || {
+                start.wait();
+                graph(&key)
+            };
+            let a = s.spawn(get);
+            let b = s.spawn(get);
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert!(Arc::ptr_eq(&a, &b));
+    }
+
+    #[test]
+    fn warm_runs_equal_cold_runs() {
+        let _turn = lock();
+        type Summary = (BfsTree, u64, Vec<(SimDuration, SimDuration)>, u64, u32);
+        let summary = |r: BfsResult| {
+            (
+                r.tree,
+                r.teps.to_bits(),
+                r.breakdown,
+                r.traversed_edges,
+                r.levels,
+            )
+        };
+        let apenet = |c: &BfsConfig| summary(run_apenet(c));
+        let ib = |c: &BfsConfig| summary(run_ib(c, IbConfig::cluster_ii()));
+        for np in [1, 4] {
+            let key = BfsConfig::small(10, np);
+            for run in [&apenet as &dyn Fn(&BfsConfig) -> Summary, &ib] {
+                graph(&cfg(6, 4)); // evict `key`
+                let cold = run(&key);
+                let warm = run(&key);
+                assert_eq!(cold, warm, "np {np}");
+            }
+        }
     }
 }

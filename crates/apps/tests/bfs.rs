@@ -2,15 +2,13 @@
 //! fabric plus Table IV / Fig. 12 shape checks.
 
 use apenet_apps::bfs::csr::Csr;
-use apenet_apps::bfs::rmat;
 use apenet_apps::bfs::run::{run_apenet, run_ib};
-use apenet_apps::bfs::seq;
-use apenet_apps::bfs::BfsConfig;
+use apenet_apps::bfs::{graph, seq, BfsConfig};
 use apenet_ib::IbConfig;
+use std::sync::Arc;
 
-fn reference(cfg: &BfsConfig) -> (Csr, seq::BfsTree) {
-    let edges = rmat::generate_with(cfg.scale, cfg.edgefactor, cfg.seed, cfg.permute);
-    let g = Csr::build(1 << cfg.scale, &edges);
+fn reference(cfg: &BfsConfig) -> (Arc<Csr>, seq::BfsTree) {
+    let g = graph(cfg);
     let t = seq::bfs(&g, cfg.root);
     (g, t)
 }

@@ -13,6 +13,7 @@
 //! [`Sim`]: apenet_sim::engine::Sim
 
 use apenet_sim::engine;
+use apenet_sim::env::{env_var, EnvError};
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
@@ -32,6 +33,20 @@ pub struct BenchResult {
     pub p99_sim_ps: Option<u64>,
 }
 
+const ITERS_GRAMMAR: &str = "<samples> (a positive integer)";
+
+/// Parse an `APENET_BENCH_ITERS` value: empty is the default 15.
+fn parse_iters(v: &str) -> Result<u32, EnvError> {
+    match v.trim() {
+        "" => Ok(15),
+        n => n
+            .parse()
+            .ok()
+            .filter(|&n| n > 0)
+            .ok_or_else(|| EnvError::new("APENET_BENCH_ITERS", v, ITERS_GRAMMAR)),
+    }
+}
+
 /// Collects [`BenchResult`]s and renders the JSON report.
 pub struct Harness {
     pub warmup: u32,
@@ -48,15 +63,14 @@ impl Default for Harness {
 impl Harness {
     /// Build a harness from `APENET_BENCH_ITERS` (default 15 samples,
     /// 3 warmup rounds).
+    ///
+    /// # Panics
+    ///
+    /// On a malformed `APENET_BENCH_ITERS`, naming it and the grammar.
     pub fn from_env() -> Self {
-        let iters = std::env::var("APENET_BENCH_ITERS")
-            .ok()
-            .and_then(|v| v.trim().parse::<u32>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(15);
         Harness {
             warmup: 3,
-            iters,
+            iters: env_var("APENET_BENCH_ITERS", parse_iters),
             results: Vec::new(),
         }
     }
@@ -398,6 +412,14 @@ fn app_benches(h: &mut Harness) {
     let edges = rmat::generate(14, 16, 3);
     let graph = Csr::build(1 << 14, &edges);
     h.bench("bfs_seq_scale14", move || seq::bfs(&graph, 1).level[100]);
+    // The two halves of a BFS graph build, at the benchmark's scale.
+    h.bench("rmat_scale16", || {
+        rmat::generate_with(16, 16, 500, false).len()
+    });
+    let edges = rmat::generate_with(16, 16, 500, false);
+    h.bench("csr_build_scale16", move || {
+        Csr::build(1 << 16, &edges).undirected_edges()
+    });
 }
 
 /// The tail-forensics plane's own hot paths: raw digest ingest, and the
@@ -525,4 +547,21 @@ fn slo_benches(h: &mut Harness) {
         slo.alerts.len()
     });
     h.annotate_p99("slo_window_incast_8to1", worst_window_p99);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn iters_grammar_is_strict() {
+        assert_eq!(parse_iters(""), Ok(15));
+        assert_eq!(parse_iters(" 5 "), Ok(5));
+        let e = parse_iters("0").unwrap_err();
+        assert_eq!((e.var, e.value.as_str()), ("APENET_BENCH_ITERS", "0"));
+        assert!(e.to_string().contains(ITERS_GRAMMAR));
+        for bad in ["-3", "five", "1e3", "5x"] {
+            assert!(parse_iters(bad).is_err(), "{bad}");
+        }
+    }
 }

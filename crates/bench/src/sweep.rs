@@ -14,6 +14,7 @@
 //! `repro-all` driver fanning experiments, each experiment fanning sweep
 //! points — shares one global thread budget instead of multiplying.
 
+use apenet_sim::env::{env_var, EnvError};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -30,18 +31,31 @@ static OUTSTANDING: AtomicI64 = AtomicI64::new(0);
 
 /// The configured sweep width: the override set by [`set_threads`], else
 /// `APENET_SWEEP_THREADS`, else the machine's available parallelism.
+///
+/// # Panics
+///
+/// On a malformed `APENET_SWEEP_THREADS`, naming it and the grammar.
 pub fn threads() -> usize {
     let forced = OVERRIDE_THREADS.load(Ordering::Relaxed);
     if forced > 0 {
         return forced;
     }
-    if let Some(n) = std::env::var("APENET_SWEEP_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-    {
-        return n.max(1);
+    env_var("APENET_SWEEP_THREADS", parse_threads)
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+const THREADS_GRAMMAR: &str = "<workers> (an unsigned integer; 0 and 1 run serially)";
+
+/// Parse an `APENET_SWEEP_THREADS` value: empty is `None` (use the
+/// available parallelism), `0` clamps to one worker.
+fn parse_threads(v: &str) -> Result<Option<usize>, EnvError> {
+    match v.trim() {
+        "" => Ok(None),
+        n => n
+            .parse::<usize>()
+            .map(|n| Some(n.max(1)))
+            .map_err(|_| EnvError::new("APENET_SWEEP_THREADS", v, THREADS_GRAMMAR)),
     }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Force the thread count from code (tests compare serial vs parallel
@@ -210,6 +224,19 @@ mod tests {
     fn lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
         LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    #[test]
+    fn threads_grammar_is_strict() {
+        assert_eq!(parse_threads(""), Ok(None));
+        assert_eq!(parse_threads(" 4 "), Ok(Some(4)));
+        assert_eq!(parse_threads("0"), Ok(Some(1)));
+        let e = parse_threads("four").unwrap_err();
+        assert_eq!((e.var, e.value.as_str()), ("APENET_SWEEP_THREADS", "four"));
+        assert!(e.to_string().contains(THREADS_GRAMMAR));
+        for bad in ["-1", "2.5", "4 threads", "0x4"] {
+            assert!(parse_threads(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

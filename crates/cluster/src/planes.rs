@@ -22,7 +22,7 @@
 //! The env grammars are strict: a malformed value is an [`EnvError`]
 //! naming the variable, the value and the accepted grammar, never a
 //! silent default. Every grammar shares the switch words of
-//! [`apenet_core::config::switch`] (unset, empty, `0`, `off` = off;
+//! [`apenet_sim::env::switch`] (unset, empty, `0`, `off` = off;
 //! `1`, `on` = the plane's default; any case) and one duration
 //! form, `<N>ms`, `<N>us`, `<N>ns` or a bare `<N>` in µs, with N > 0.
 //!
@@ -30,7 +30,6 @@
 
 use crate::cluster::Cluster;
 use crate::sampling::OccupancySampler;
-use apenet_core::config::{env_var, switch, EnvError};
 use apenet_obs::alert::RuleSet;
 use apenet_obs::latency::{
     collect_ledgers, metrics as tail_metrics, MsgLedger, TailConfig, TailSummary,
@@ -40,6 +39,7 @@ use apenet_obs::report::RunReport;
 use apenet_obs::slo::SloConfig;
 use apenet_obs::Registry;
 use apenet_rdma::completion::CompletionError;
+use apenet_sim::env::{env_var, switch, EnvError};
 use apenet_sim::profile::SimProfile;
 use apenet_sim::trace::{SharedSink, TraceRecord};
 use apenet_sim::SimDuration;

@@ -1,6 +1,7 @@
 //! Card configuration: every calibration constant of the APEnet+ model,
 //! each annotated with the paper statement it reproduces.
 
+use apenet_sim::env::{env_var, switch, EnvError};
 use apenet_sim::SimDuration;
 
 /// The three generations of the GPU memory reading engine (§IV).
@@ -104,62 +105,6 @@ impl OverloadConfig {
 const OVERLOAD_GRAMMAR: &str =
     "off | 0 | on | 1 | <item>[,<item>] (item: port:<frames> | ring:<entries>)";
 const ROUTE_AROUND_GRAMMAR: &str = "off | 0 | on | 1";
-
-/// A malformed env value, naming the variable, the value and the
-/// grammar it had to match: no env grammar falls back to a default.
-#[derive(Debug, PartialEq, Eq)]
-pub struct EnvError {
-    /// The env var.
-    pub var: &'static str,
-    /// The rejected value.
-    pub value: String,
-    /// The grammar the value had to match.
-    pub grammar: &'static str,
-}
-
-impl EnvError {
-    /// The error for `var=value` against `grammar`.
-    pub fn new(var: &'static str, value: &str, grammar: &'static str) -> Self {
-        EnvError {
-            var,
-            value: value.to_string(),
-            grammar,
-        }
-    }
-}
-
-impl std::fmt::Display for EnvError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let EnvError {
-            var,
-            value,
-            grammar,
-        } = self;
-        write!(f, "{var}={value:?} is malformed; expected {grammar}")
-    }
-}
-
-impl std::error::Error for EnvError {}
-
-/// Read env var `name` (unset reads as empty) through its grammar.
-///
-/// # Panics
-///
-/// On a malformed value, with the [`EnvError`] message.
-pub fn env_var<T>(name: &'static str, parse: impl Fn(&str) -> Result<T, EnvError>) -> T {
-    parse(&std::env::var(name).unwrap_or_default()).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// The switch words every env grammar shares, in any case: unset,
-/// empty, `0` and `off` are `Some(false)`; `1` and `on` are
-/// `Some(true)`; anything else is `None`, not a switch word.
-pub fn switch(v: &str) -> Option<bool> {
-    match v.trim().to_ascii_lowercase().as_str() {
-        "" | "0" | "off" => Some(false),
-        "1" | "on" => Some(true),
-        _ => None,
-    }
-}
 
 /// Parse an `APENET_ROUTE_AROUND_FAULTS` value: a switch word.
 pub fn parse_route_around(v: &str) -> Result<bool, EnvError> {

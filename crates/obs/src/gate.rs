@@ -23,6 +23,7 @@
 //!   samples (`min_ns`, which only ever inflates under load): too
 //!   machine-dependent to gate on.
 
+use apenet_sim::env::{env_var, EnvError};
 use std::collections::BTreeMap;
 
 /// Fractional tolerance applied to wall-clock-derived metrics when the
@@ -36,14 +37,28 @@ pub const DEFAULT_TOL: f64 = 0.08;
 /// Deterministic and throughput checks are unaffected.
 pub const MIN_NS_DELTA: f64 = 100_000.0;
 
+const TOL_GRAMMAR: &str = "<fraction> (a finite number >= 0, e.g. 0.25)";
+
 /// Tolerance from `APENET_GATE_TOL` (a fraction, e.g. `0.25`), or
-/// [`DEFAULT_TOL`].
+/// [`DEFAULT_TOL`] when unset or empty.
+///
+/// # Panics
+///
+/// On a malformed value, naming it and the grammar.
 pub fn tol_from_env() -> f64 {
-    std::env::var("APENET_GATE_TOL")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .filter(|t: &f64| t.is_finite() && *t >= 0.0)
-        .unwrap_or(DEFAULT_TOL)
+    env_var("APENET_GATE_TOL", parse_tol)
+}
+
+/// Parse an `APENET_GATE_TOL` value: empty is [`DEFAULT_TOL`].
+fn parse_tol(v: &str) -> Result<f64, EnvError> {
+    match v.trim() {
+        "" => Ok(DEFAULT_TOL),
+        t => t
+            .parse()
+            .ok()
+            .filter(|t: &f64| t.is_finite() && *t >= 0.0)
+            .ok_or_else(|| EnvError::new("APENET_GATE_TOL", v, TOL_GRAMMAR)),
+    }
 }
 
 /// Outcome of one baseline-vs-fresh comparison.
@@ -393,6 +408,22 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn tol_grammar_is_strict() {
+        assert_eq!(parse_tol(""), Ok(DEFAULT_TOL));
+        assert_eq!(parse_tol(" 0.25 "), Ok(0.25));
+        assert_eq!(parse_tol("10"), Ok(10.0));
+        assert_eq!(parse_tol("0"), Ok(0.0));
+        let e = parse_tol("O.25").unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "APENET_GATE_TOL=\"O.25\" is malformed; expected <fraction> (a finite number >= 0, e.g. 0.25)"
+        );
+        for bad in ["-0.1", "inf", "NaN", "25%", "0.25x"] {
+            assert!(parse_tol(bad).is_err(), "{bad}");
+        }
+    }
 
     const BASE: &str = r#"{
       "threads": 4,

@@ -21,6 +21,8 @@
 //! * lightweight **tracing** ([`trace`]) used by the PCIe bus-analyzer model;
 //! * a slice-by-8 **CRC-32** ([`crc::Crc32`]) that [`bytes::PayloadSlice`]
 //!   memoizes, so the packet CRC hashes each payload once.
+//! * strict **env** grammars ([`env::EnvError`], [`env::env_var`]) shared
+//!   by every `APENET_*` reader in the workspace.
 //!
 //! The hardware crates (`apenet-pcie`, `apenet-gpu`, `apenet-core`, …) are
 //! written "sans-engine": they expose state machines implementing
@@ -52,6 +54,7 @@ pub mod calendar;
 pub mod check;
 pub mod crc;
 pub mod engine;
+pub mod env;
 pub mod fault;
 pub mod fifo;
 pub mod profile;

@@ -5,9 +5,8 @@
 //! Usage: `cargo run --release --example bfs_traversal -- [scale] [np]`
 //! (defaults: scale 14, 4 ranks).
 
-use apenet::apps::bfs::csr::Csr;
 use apenet::apps::bfs::run::run_apenet;
-use apenet::apps::bfs::{rmat, seq, BfsConfig};
+use apenet::apps::bfs::{graph, seq, BfsConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -26,9 +25,9 @@ fn main() {
     for (rank, (comp, comm)) in r.breakdown.iter().enumerate() {
         println!("  rank {rank}: compute {comp}, comm+wait {comm}");
     }
-    // Validate against the sequential reference.
-    let edges = rmat::generate_with(cfg.scale, cfg.edgefactor, cfg.seed, cfg.permute);
-    let g = Csr::build(1 << cfg.scale, &edges);
+    // Validate against the sequential reference, on the graph the run
+    // traversed.
+    let g = graph(&cfg);
     let reference = seq::bfs(&g, cfg.root);
     seq::validate(&g, cfg.root, &r.tree, &reference).expect("distributed tree valid");
     println!("BFS tree validated against the sequential reference ✓");

@@ -37,6 +37,11 @@ echo "==> G-G P2P vs staged bandwidth (fig07, the per-byte datapath, matches com
 cargo run --release --offline -q -p apenet-bench --bin fig07
 git diff --exit-code -- results/fig07.txt
 
+echo "==> BFS strong scaling (table4, fig12: one cached graph per configuration, match committed)"
+cargo run --release --offline -q -p apenet-bench --bin table4
+cargo run --release --offline -q -p apenet-bench --bin fig12
+git diff --exit-code -- results/table4.txt results/fig12.txt
+
 echo "==> scheduler equivalence (calendar queue vs heap model, debug assertions on)"
 # The test profile keeps debug_assert! live, so the calendar's internal
 # invariants (floor monotonicity, cache coherence) are checked on every
