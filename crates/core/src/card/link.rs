@@ -1,34 +1,69 @@
 //! The go-back-N link layer of every port: sequence numbers, replay
 //! buffers, ACK/NAK credits, retransmit timers and fault injection.
+//!
+//! `cfg.link_retrans` (the kill switch) is read only where a frame enters
+//! the layer: `link_send` on transmit and `link_rx_data` on
+//! receive. With it off no card sends an ACK or NAK and none arms a
+//! timer, so the ACK/NAK/timer handlers never run.
 
-use super::*;
+use super::{Card, CardIn, CardOut, PortOccupancy};
+use crate::config::CardConfig;
+use crate::coord::Coord;
+use crate::packet::ApePacket;
+use crate::torus::{LinkFrame, LinkMsg, Port, TorusLink, NUM_PORTS};
+use apenet_sim::fault::{self, FaultInjector};
+use apenet_sim::rng::Xoshiro256ss;
+use apenet_sim::trace::{kind as tk, TracePayload};
+use apenet_sim::{Bandwidth, Outbox, SimDuration, SimTime};
+use std::cell::RefCell;
+use std::collections::VecDeque;
+use std::rc::Rc;
 
 /// Transmit side of one port's go-back-N channel.
 #[derive(Debug, Default)]
-pub(super) struct LinkTxState {
+struct LinkTxState {
     /// Next sequence number to assign.
-    pub(super) next_seq: u64,
+    next_seq: u64,
     /// Lowest unacknowledged sequence number.
-    pub(super) base: u64,
+    base: u64,
     /// Clean (pre-corruption) copies of the unacknowledged frames
     /// `base..next_seq`, in order. Clones only bump payload refcounts, so
     /// the replay buffer costs no byte copies.
-    pub(super) replay: VecDeque<ApePacket>,
+    replay: VecDeque<ApePacket>,
     /// Frames waiting for window credit, with their from-drain flag (a
     /// from-drain frame owes a `DrainNext` when it finally serializes).
-    pub(super) pending: VecDeque<(ApePacket, bool)>,
+    pending: VecDeque<(ApePacket, bool)>,
     /// Timer epoch; bumped whenever the window advances so in-flight
     /// timer events for the old window are ignored.
-    pub(super) epoch: u64,
+    epoch: u64,
     /// A timer event for the current epoch is outstanding.
-    pub(super) timer_live: bool,
+    timer_live: bool,
     /// Consecutive barren timeouts (drives exponential backoff).
     consec_timeouts: u32,
 }
 
+impl LinkTxState {
+    /// Release acknowledged frames `< upto` from the replay buffer.
+    /// Returns true when the window advanced.
+    fn release_acked(&mut self, upto: u64) -> bool {
+        if upto <= self.base {
+            return false;
+        }
+        let acked = ((upto - self.base) as usize).min(self.replay.len());
+        for _ in 0..acked {
+            self.replay.pop_front();
+        }
+        self.base += acked as u64;
+        self.consec_timeouts = 0;
+        self.epoch += 1;
+        self.timer_live = false;
+        true
+    }
+}
+
 /// Receive side of one port's go-back-N channel.
 #[derive(Debug, Default)]
-pub(super) struct LinkRxState {
+struct LinkRxState {
     /// Next expected sequence number.
     expect: u64,
     /// Sequence number we already NAKed (suppresses a NAK storm while a
@@ -38,19 +73,91 @@ pub(super) struct LinkRxState {
     nakked: Option<u64>,
 }
 
+/// The link stage's state: the wired torus links, both halves of every
+/// port's go-back-N channel, and the fault sources that damage frames.
+pub(super) struct LinkStage {
+    /// Outgoing torus link per direction (`None` = unwired).
+    pub(super) links_out: [Option<Rc<RefCell<TorusLink>>>; 6],
+    tx: [LinkTxState; NUM_PORTS],
+    rx: [LinkRxState; NUM_PORTS],
+    pub(super) injectors: [Option<FaultInjector>; NUM_PORTS],
+    /// Any fault source is configured (legacy periodic corruption, an
+    /// injector on some port, or an admin kill schedule). When false, no
+    /// retransmit timers are ever armed and no window holds frames back,
+    /// so healthy runs schedule zero extra timing-relevant events. Set
+    /// only by `LinkStage::arm`.
+    fault_active: bool,
+    /// Seeded RNG for the legacy periodic corruption's position/mask.
+    fault_rng: Xoshiro256ss,
+    /// Fresh transmissions since the last legacy corruption.
+    tx_since_fault: u32,
+}
+
+impl LinkStage {
+    pub(super) fn new(cfg: &CardConfig, coord: Coord) -> Self {
+        let coord_salt = ((coord.x as u64) << 16) | ((coord.y as u64) << 8) | coord.z as u64;
+        let mut link = LinkStage {
+            links_out: Default::default(),
+            tx: Default::default(),
+            rx: Default::default(),
+            injectors: Default::default(),
+            fault_active: false,
+            fault_rng: Xoshiro256ss::seed_from(fault::derive_seed(cfg.fault_seed, coord_salt)),
+            tx_since_fault: 0,
+        };
+        if cfg.tx_bit_error_every.is_some() {
+            link.arm();
+        }
+        link
+    }
+
+    /// Arm the fault plane: from here on frames are windowed and
+    /// retransmit timers run. The one place the plane is switched on —
+    /// legacy corruption at construction, an attached injector, an
+    /// explicit arming for kill schedules, and an admin cable kill all
+    /// come through here.
+    pub(super) fn arm(&mut self) {
+        self.fault_active = true;
+    }
+
+    /// Point-in-time go-back-N occupancy of port `pi`.
+    pub(super) fn port_occupancy(&self, pi: usize, wire_bytes: u64) -> PortOccupancy {
+        let st = &self.tx[pi];
+        PortOccupancy {
+            replay: st.replay.len(),
+            pending: st.pending.len(),
+            in_flight: st.next_seq - st.base,
+            wire_bytes,
+        }
+    }
+
+    /// Retire port `pi`: take its replay then pending frames (with their
+    /// from-drain flags), stale its timers and reset its receive side.
+    pub(super) fn retire(&mut self, pi: usize) -> Vec<(ApePacket, bool)> {
+        let st = &mut self.tx[pi];
+        let mut frames: Vec<(ApePacket, bool)> = st.replay.drain(..).map(|p| (p, false)).collect();
+        frames.extend(st.pending.drain(..));
+        st.epoch += 1; // in-flight timer events for this port go stale
+        st.timer_live = false;
+        self.rx[pi] = LinkRxState::default();
+        frames
+    }
+}
+
 impl Card {
     /// Legacy fault injection: flip a payload bit in every Nth freshly
     /// transmitted packet when configured (models a marginal cable; the
     /// receiver's CRC must catch it). Position and mask come from the
     /// card's seeded fault RNG — a real marginal cable flips arbitrary
     /// bits, not always the middle one. Applies to loop-back traffic too.
-    pub(super) fn maybe_corrupt(&mut self, mut packet: ApePacket) -> ApePacket {
+    fn maybe_corrupt(&mut self, mut packet: ApePacket) -> ApePacket {
         if let Some(n) = self.cfg.tx_bit_error_every {
-            self.tx_since_fault += 1;
-            if self.tx_since_fault >= n && !packet.payload.is_empty() {
-                self.tx_since_fault = 0;
-                let idx = self.fault_rng.next_below(packet.payload.len() as u64) as usize;
-                let mask = 1u8 << self.fault_rng.next_below(8);
+            let link = &mut self.link;
+            link.tx_since_fault += 1;
+            if link.tx_since_fault >= n && !packet.payload.is_empty() {
+                link.tx_since_fault = 0;
+                let idx = link.fault_rng.next_below(packet.payload.len() as u64) as usize;
+                let mask = 1u8 << link.fault_rng.next_below(8);
                 // Copy-on-write: only this fragment is duplicated; the
                 // source buffer and sibling fragments stay shared.
                 packet.payload.make_mut()[idx] ^= mask;
@@ -76,13 +183,14 @@ impl Card {
         from_drain: bool,
         out: &mut Outbox<CardOut>,
     ) {
+        let pi = port.index();
         // ECN-style marking: every hop a frame crosses checks its egress
         // port's queue depth (replay backlog + frames parked for window
         // credit) against the overload high-water mark. CNP echoes are
         // never marked — congestion must not breed congestion traffic.
         if let Some(ov) = self.cfg.overload {
             if !packet.is_cnp() && !packet.ecn {
-                let st = &self.link_tx[port.index()];
+                let st = &self.link.tx[pi];
                 if (st.replay.len() + st.pending.len()) as u32 >= ov.port_highwater {
                     packet.mark_ecn();
                     self.stats.ecn_marked += 1;
@@ -93,15 +201,14 @@ impl Card {
             self.transmit_data(port, 0, packet, ready, now, from_drain, false, out);
             return;
         }
-        let pi = port.index();
         // The window is enforced only while fault injection is armed: on
         // a fault-free run nothing is ever lost, so holding frames back
         // buys no reliability but would defer link reservations to
         // ACK-arrival times and reorder them against competing port
         // users — shifting golden timing. ACKs still continuously clear
         // the replay buffer, which stays bounded by the in-flight count.
-        let windowed = self.fault_active;
-        let st = &mut self.link_tx[pi];
+        let windowed = self.link.fault_active;
+        let st = &mut self.link.tx[pi];
         if windowed
             && (!st.pending.is_empty() || st.next_seq - st.base >= self.cfg.link_window as u64)
         {
@@ -120,7 +227,7 @@ impl Card {
     /// the clean replay-buffer copy), burn the serialization slot, and
     /// schedule the arrival unless the frame was dropped.
     #[allow(clippy::too_many_arguments)]
-    pub(super) fn transmit_data(
+    fn transmit_data(
         &mut self,
         port: Port,
         seq: u64,
@@ -139,46 +246,43 @@ impl Card {
         };
         let mut ready = ready;
         let mut dropped = false;
-        if let Some(inj) = self.injectors[pi].as_mut() {
+        let counters = &mut self.stats.links[pi];
+        if let Some(inj) = self.link.injectors[pi].as_mut() {
             let fate = inj.data_frame();
             if let Some(d) = fate.stall {
                 // A stall delays the serialization start; everything
                 // behind the frame backs up naturally through the link's
                 // busy window (or the loop-back drain).
                 ready += d;
-                self.stats.links[pi].injected_stalls += 1;
-                self.stats.links[pi].stall_ps += d.as_ps();
+                counters.injected_stalls += 1;
+                counters.stall_ps += d.as_ps();
             }
             if fate.drop {
                 dropped = true;
-                self.stats.links[pi].injected_drops += 1;
+                counters.injected_drops += 1;
             } else if let Some(c) = fate.corrupt {
                 if !wire.payload.is_empty() {
                     let idx = (c.pos % wire.payload.len() as u64) as usize;
                     wire.payload.make_mut()[idx] ^= c.mask;
-                    self.stats.links[pi].injected_corrupt += 1;
+                    counters.injected_corrupt += 1;
                 }
             }
         }
-        self.stats.links[pi].data_frames += 1;
-        self.stats.links[pi].wire_bytes += wire.wire_bytes();
+        counters.data_frames += 1;
+        counters.wire_bytes += wire.wire_bytes();
         if is_retrans {
-            self.stats.retransmits += 1;
-            self.stats.links[pi].retransmits += 1;
+            counters.retransmits += 1;
         }
-        if self.trace.enabled() {
-            self.trace.record(
-                ready,
-                "card",
-                tk::FRAME_TX,
-                Some(wire.msg.span()),
-                TracePayload::Frame {
-                    seq,
-                    wire: wire.wire_bytes(),
-                    retrans: is_retrans,
-                },
-            );
-        }
+        self.record(
+            ready,
+            tk::FRAME_TX,
+            wire.msg,
+            TracePayload::Frame {
+                seq,
+                wire: wire.wire_bytes(),
+                retrans: is_retrans,
+            },
+        );
         match port {
             Port::Loopback => {
                 let serialize = Bandwidth::from_gb_per_sec(4).time_for(wire.wire_bytes());
@@ -198,28 +302,17 @@ impl Card {
                 }
             }
             Port::Link(dir) => {
-                let Some(link) = self.links_out[dir.index()].as_ref().cloned() else {
+                let Some(link) = self.link.links_out[dir.index()].as_ref().cloned() else {
                     // An unwired direction (a mis-built cluster) used to
                     // be a panic; surface it and keep the drain alive.
-                    self.stats.unreachable_drops += 1;
-                    out.push(
-                        SimDuration::ZERO,
-                        CardOut::Error(CardError::Unreachable {
-                            msg: wire.msg,
-                            dst: wire.dst,
-                        }),
-                    );
-                    if from_drain {
-                        out.push(SimDuration::ZERO, CardOut::ToSelf(CardIn::DrainNext));
-                    }
+                    self.drop_unreachable(&wire, from_drain, out);
                     return;
                 };
                 let slot = link.borrow_mut().reserve(ready, wire.wire_bytes());
                 // A cut or declared-dead cable swallows the frame: the
                 // SerDes still burns its serialization slot (the card
                 // does not know yet), but nothing reaches the far end.
-                let swallowed = dropped || self.cable_cut[pi] || self.port_dead[pi];
-                if !swallowed {
+                if !dropped && !self.route.down(pi) {
                     out.push(
                         slot.arrive.since(now),
                         CardOut::TorusSend {
@@ -238,16 +331,17 @@ impl Card {
         }
     }
 
-    /// Emit an ACK/NAK credit on `port`, back toward the sender whose
-    /// data arrives there. Control symbols ride the out-of-band control
-    /// channel: they pay cable (or switch-transit) latency but occupy no
-    /// data wire slots, so healthy-run data timing is untouched.
+    /// Emit a control symbol (ACK/NAK credit, keepalive ping/pong,
+    /// link-state notification) on `port`, back toward the card at its
+    /// far end. Control symbols ride the out-of-band control channel:
+    /// they pay cable (or switch-transit) latency but occupy no data wire
+    /// slots, so healthy-run data timing is untouched.
     pub(super) fn send_control(&mut self, port: Port, msg: LinkMsg, out: &mut Outbox<CardOut>) {
         let pi = port.index();
-        if self.cable_cut[pi] || self.port_dead[pi] {
+        if self.route.down(pi) {
             return; // the cable is gone: control symbols vanish with it
         }
-        if let Some(inj) = self.injectors[pi].as_mut() {
+        if let Some(inj) = self.link.injectors[pi].as_mut() {
             if inj.control_frame() {
                 self.stats.links[pi].injected_drops += 1;
                 return;
@@ -269,11 +363,11 @@ impl Card {
     /// and no live timer. Timers exist only while fault injection is
     /// possible: a fault-free run never schedules one, so the reliability
     /// layer adds zero events to golden-timing runs.
-    pub(super) fn arm_timer(&mut self, port: Port, out: &mut Outbox<CardOut>) {
-        if !self.fault_active || !self.cfg.link_retrans || self.port_dead[port.index()] {
+    fn arm_timer(&mut self, port: Port, out: &mut Outbox<CardOut>) {
+        if !self.link.fault_active || self.route.dead(port.index()) {
             return;
         }
-        let st = &mut self.link_tx[port.index()];
+        let st = &mut self.link.tx[port.index()];
         if st.timer_live || st.replay.is_empty() {
             return;
         }
@@ -289,37 +383,10 @@ impl Card {
         );
     }
 
-    /// Release acknowledged frames `< upto` from the replay buffer.
-    /// Returns true when the window advanced.
-    pub(super) fn release_acked(&mut self, port: Port, upto: u64) -> bool {
-        let st = &mut self.link_tx[port.index()];
-        if upto <= st.base {
-            return false;
-        }
-        let acked = ((upto - st.base) as usize).min(st.replay.len());
-        for _ in 0..acked {
-            st.replay.pop_front();
-        }
-        st.base += acked as u64;
-        st.consec_timeouts = 0;
-        st.epoch += 1;
-        st.timer_live = false;
-        true
-    }
-
     /// Cumulative ACK: free replay slots, then let queued frames use the
     /// new window credit.
-    pub(super) fn handle_ack(
-        &mut self,
-        port: Port,
-        upto: u64,
-        now: SimTime,
-        out: &mut Outbox<CardOut>,
-    ) {
-        if !self.cfg.link_retrans {
-            return;
-        }
-        if self.release_acked(port, upto) {
+    fn handle_ack(&mut self, port: Port, upto: u64, now: SimTime, out: &mut Outbox<CardOut>) {
+        if self.link.tx[port.index()].release_acked(upto) {
             self.flush_pending(port, now, out);
         }
         self.arm_timer(port, out);
@@ -327,23 +394,12 @@ impl Card {
 
     /// NAK: the receiver is stuck at `expect`. Treat it as a cumulative
     /// ACK for everything below, then go-back-N replay the rest.
-    pub(super) fn handle_nak(
-        &mut self,
-        port: Port,
-        expect: u64,
-        now: SimTime,
-        out: &mut Outbox<CardOut>,
-    ) {
-        if !self.cfg.link_retrans {
-            return;
+    fn handle_nak(&mut self, port: Port, expect: u64, now: SimTime, out: &mut Outbox<CardOut>) {
+        let st = &mut self.link.tx[port.index()];
+        if expect < st.base {
+            return; // stale: already acknowledged past it
         }
-        {
-            let st = &mut self.link_tx[port.index()];
-            if expect < st.base {
-                return; // stale: already acknowledged past it
-            }
-        }
-        self.release_acked(port, expect);
+        st.release_acked(expect);
         self.replay_window(port, now, out);
         self.flush_pending(port, now, out);
         self.arm_timer(port, out);
@@ -360,64 +416,42 @@ impl Card {
         out: &mut Outbox<CardOut>,
     ) {
         let pi = port.index();
-        if self.port_dead[pi] {
+        if self.route.dead(pi) {
             return; // retired port; its frames were requeued already
         }
-        {
-            let st = &mut self.link_tx[pi];
-            if epoch != st.epoch {
-                return; // stale timer from a since-advanced window
-            }
-            st.timer_live = false;
-            if st.replay.is_empty() {
-                return;
-            }
-            st.consec_timeouts += 1;
-            st.epoch += 1;
+        let st = &mut self.link.tx[pi];
+        if epoch != st.epoch {
+            return; // stale timer from a since-advanced window
         }
+        st.timer_live = false;
+        if st.replay.is_empty() {
+            return;
+        }
+        st.consec_timeouts += 1;
+        st.epoch += 1;
         self.stats.links[pi].timeouts += 1;
-        // Keepalive escalation: a timeout means a whole (backed-off) RTO
-        // passed with no traffic back on this port — a dead cable and a
-        // neighbour stuck in go-back-N recovery look identical from here,
-        // so probe it. Any ingress on the port resets the count; enough
-        // consecutive silent RTOs and the port is declared dead.
-        if self.cfg.route_around_faults {
-            if let Port::Link(dir) = port {
-                self.probes[pi] += 1;
-                if self.probes[pi] >= self.cfg.keepalive_misses {
-                    self.declare_port_dead(dir, now, out);
-                    return;
-                }
-                let nonce = self.ping_nonce;
-                self.ping_nonce += 1;
-                self.send_control(port, LinkMsg::Ping { nonce }, out);
-            }
+        if self.keepalive_miss(port, now, out) {
+            return;
         }
         self.replay_window(port, now, out);
         self.arm_timer(port, out);
     }
 
     /// Replay every unacknowledged frame of `port`, in sequence order.
-    pub(super) fn replay_window(&mut self, port: Port, now: SimTime, out: &mut Outbox<CardOut>) {
-        let st = &self.link_tx[port.index()];
+    fn replay_window(&mut self, port: Port, now: SimTime, out: &mut Outbox<CardOut>) {
+        let st = &self.link.tx[port.index()];
         let base = st.base;
-        let frames: Vec<(u64, ApePacket)> = st
-            .replay
-            .iter()
-            .cloned()
-            .enumerate()
-            .map(|(i, p)| (base + i as u64, p))
-            .collect();
-        for (seq, p) in frames {
-            self.transmit_data(port, seq, p, now, now, false, true, out);
+        let frames: Vec<ApePacket> = st.replay.iter().cloned().collect();
+        for (i, p) in frames.into_iter().enumerate() {
+            self.transmit_data(port, base + i as u64, p, now, now, false, true, out);
         }
     }
 
     /// Move frames from the pending queue into freed window slots.
-    pub(super) fn flush_pending(&mut self, port: Port, now: SimTime, out: &mut Outbox<CardOut>) {
+    fn flush_pending(&mut self, port: Port, now: SimTime, out: &mut Outbox<CardOut>) {
         let pi = port.index();
         loop {
-            let st = &mut self.link_tx[pi];
+            let st = &mut self.link.tx[pi];
             if st.pending.is_empty() || st.next_seq - st.base >= self.cfg.link_window as u64 {
                 return;
             }
@@ -429,9 +463,34 @@ impl Card {
         }
     }
 
+    /// A link-layer frame arrived on `port`: data, a credit, or a
+    /// link-health symbol.
+    pub(super) fn link_rx(
+        &mut self,
+        port: Port,
+        msg: LinkMsg,
+        now: SimTime,
+        out: &mut Outbox<CardOut>,
+    ) {
+        if !self.route.ingress(port.index()) {
+            return; // frames in flight when the cable died are lost
+        }
+        match msg {
+            LinkMsg::Data(frame) => self.link_rx_data(port, frame, now, out),
+            LinkMsg::Ack { upto } => self.handle_ack(port, upto, now, out),
+            LinkMsg::Nak { expect } => self.handle_nak(port, expect, now, out),
+            LinkMsg::Ping { nonce } => self.send_control(port, LinkMsg::Pong { nonce }, out),
+            // Reaching a live port was the whole point.
+            LinkMsg::Pong { .. } => {}
+            LinkMsg::LinkDown { origin, dir } => {
+                self.handle_link_down(Some(port), origin, dir, now, out)
+            }
+        }
+    }
+
     /// A data frame arrived on `port`: verify, sequence-check, ACK/NAK,
     /// and deliver in-order frames up to the routing layer.
-    pub(super) fn link_rx_data(
+    fn link_rx_data(
         &mut self,
         port: Port,
         frame: LinkFrame,
@@ -443,7 +502,6 @@ impl Card {
             // Kill-switch mode: the pre-reliability datapath — a CRC
             // failure drops the packet on the floor.
             if !frame.packet.verify() {
-                self.stats.crc_dropped += 1;
                 self.stats.links[pi].crc_dropped += 1;
                 return;
             }
@@ -455,7 +513,7 @@ impl Card {
             self.send_nak(port, out);
             return;
         }
-        let rx = &mut self.link_rx[pi];
+        let rx = &mut self.link.rx[pi];
         if frame.seq == rx.expect {
             rx.expect += 1;
             rx.nakked = None;
@@ -467,8 +525,8 @@ impl Card {
             // Duplicate (a replay raced our ACK): discard and re-ACK so
             // the sender's window still advances. This is the hop-level
             // exactly-once guarantee.
+            let upto = rx.expect;
             self.stats.links[pi].dup_frames += 1;
-            let upto = self.link_rx[pi].expect;
             self.send_control(port, LinkMsg::Ack { upto }, out);
         } else {
             // Sequence gap: an earlier frame was lost on the wire.
@@ -477,26 +535,23 @@ impl Card {
     }
 
     /// Trace the in-order acceptance of a data frame.
-    pub(super) fn record_frame_rx(&self, frame: &LinkFrame, now: SimTime) {
-        if self.trace.enabled() {
-            self.trace.record(
-                now,
-                "card",
-                tk::FRAME_RX,
-                Some(frame.packet.msg.span()),
-                TracePayload::Frame {
-                    seq: frame.seq,
-                    wire: frame.packet.wire_bytes(),
-                    retrans: false,
-                },
-            );
-        }
+    fn record_frame_rx(&self, frame: &LinkFrame, now: SimTime) {
+        self.record(
+            now,
+            tk::FRAME_RX,
+            frame.packet.msg,
+            TracePayload::Frame {
+                seq: frame.seq,
+                wire: frame.packet.wire_bytes(),
+                retrans: false,
+            },
+        );
     }
 
     /// NAK the current expected sequence number, once per gap.
-    pub(super) fn send_nak(&mut self, port: Port, out: &mut Outbox<CardOut>) {
+    fn send_nak(&mut self, port: Port, out: &mut Outbox<CardOut>) {
         let pi = port.index();
-        let rx = &mut self.link_rx[pi];
+        let rx = &mut self.link.rx[pi];
         let expect = rx.expect;
         if rx.nakked == Some(expect) {
             return;

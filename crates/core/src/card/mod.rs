@@ -6,6 +6,12 @@
 //! read prefetching, Nios II task contention, TX FIFO occupancy, torus
 //! serialization, RX processing — is computed here against the shared
 //! PCIe fabric and GPU models.
+//!
+//! One module per datapath stage (the paper's §III blocks), each owning
+//! its state in one struct: `tx` (fetch, staging, TX FIFO), `link`
+//! (go-back-N and fault injection), `rx` (delivery, RX ring, GET
+//! responder, ECN echo) and `route` (next hop, cable health); `stats`
+//! holds the counters and occupancy snapshots.
 
 mod link;
 mod route;
@@ -15,31 +21,27 @@ mod tx;
 
 pub use stats::{metrics, CardOccupancy, CardStats, LinkStats, PortOccupancy};
 
-use crate::config::{CardConfig, GpuReadMethod, GpuTxVersion, TxSinkMode};
-use crate::coord::{Coord, FaultMap, LinkDir, RouteChoice, TorusDims};
-use crate::gpu_tx::FetchPlan;
+use crate::config::CardConfig;
+use crate::coord::{Coord, FaultMap, LinkDir, TorusDims};
 use crate::nios::{BufEntry, BufKind, BufList, GpuV2p, HostV2p, Nios, PageDesc};
-use crate::packet::{ApePacket, MsgId, APE_MAX_PAYLOAD};
-use crate::torus::{LinkFrame, LinkMsg, Port, TorusLink, NUM_PORTS};
+use crate::packet::{ApePacket, MsgId};
+use crate::torus::{LinkMsg, Port, TorusLink};
 use apenet_gpu::cuda::CudaDevice;
 use apenet_gpu::mem::Memory;
 use apenet_gpu::GPU_PAGE_SIZE;
 use apenet_obs::Registry;
 use apenet_pcie::fabric::{DeviceId, Fabric};
 use apenet_pcie::server::ReadServer;
-use apenet_pcie::tlp::TlpKind;
-use apenet_sim::bytes::PayloadSlice;
-use apenet_sim::fault::{self, FaultInjector};
-use apenet_sim::rng::Xoshiro256ss;
-use apenet_sim::trace::{kind as tk, SharedSink, TracePayload};
-use apenet_sim::{Bandwidth, ByteFifo, Device, Outbox, SimDuration, SimTime};
+use apenet_sim::fault::FaultInjector;
+use apenet_sim::trace::{SharedSink, TracePayload};
+use apenet_sim::{Device, Outbox, SimTime};
 use std::cell::RefCell;
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::rc::Rc;
 
-use link::{LinkRxState, LinkTxState};
-use rx::RxProgress;
-use tx::TxJob;
+use link::LinkStage;
+use route::RouteStage;
+use rx::RxStage;
+use tx::TxStage;
 
 /// A local GPU as seen by the card: its PCIe endpoint and device model.
 #[derive(Clone)]
@@ -73,12 +75,6 @@ impl Firmware {
         }
     }
 
-    /// Register a host buffer (driver side of the registration call).
-    pub fn register_host(&mut self, vaddr: u64, len: u64, pid: u32) -> usize {
-        self.try_register_host(vaddr, len, pid)
-            .expect("BUF_LIST full")
-    }
-
     /// Fallible host registration: a full BUF_LIST rejects the request
     /// before any V2P state is touched, so the host can unregister a
     /// buffer and retry.
@@ -95,19 +91,6 @@ impl Firmware {
             kind: BufKind::Host,
             pid,
         })
-    }
-
-    /// Register a GPU buffer: fills the per-GPU V2P table with one page
-    /// descriptor per 64 KB page, as the P2P mapping flow does.
-    pub fn register_gpu(
-        &mut self,
-        gpu: apenet_gpu::GpuId,
-        vaddr: u64,
-        len: u64,
-        pid: u32,
-    ) -> usize {
-        self.try_register_gpu(gpu, vaddr, len, pid)
-            .expect("BUF_LIST full")
     }
 
     /// Fallible GPU registration (see [`Firmware::try_register_host`]).
@@ -196,16 +179,6 @@ pub struct GetDesc {
     /// Requester-local UVA address the reply lands at.
     pub local_vaddr: u64,
 }
-
-/// Sentinel TX-job id for GET request headers: they ride the TX FIFO
-/// and the link layer like staged packets but belong to no fetch job —
-/// the requester's completion is the *reply* delivery, not a TxDone.
-const GET_REQ_JOB: u32 = u32::MAX;
-
-/// Sentinel TX-job id for congestion-notification (CNP) echo frames:
-/// header-only packets from the overload plane that ride the TX FIFO and
-/// link layer like GET requests — no fetch job, no TxComplete.
-const ECHO_JOB: u32 = u32::MAX - 1;
 
 /// Events consumed by the card.
 #[derive(Debug, Clone)]
@@ -358,7 +331,8 @@ pub enum CardOut {
     },
 }
 
-/// The APEnet+ card model.
+/// The APEnet+ card model: the shared host handles plus one state
+/// struct per datapath stage.
 pub struct Card {
     /// This card's torus coordinates.
     pub coord: Coord,
@@ -369,99 +343,31 @@ pub struct Card {
     shared: CardShared,
     /// The Nios II task server.
     pub nios: Nios,
-    links_out: [Option<Rc<RefCell<TorusLink>>>; 6],
-    tx_jobs: HashMap<u32, TxJob>,
-    next_job: u32,
-    /// GPU-source jobs are processed one at a time by the GPU_P2P_TX
-    /// engine; this queue holds the waiting ones.
-    gpu_job_queue: VecDeque<u32>,
-    gpu_job_active: Option<u32>,
-    tx_fifo: ByteFifo<ApePacket>,
-    push_wait: VecDeque<(u32, ApePacket)>,
-    tx_since_fault: u32,
-    staged_pending: u64,
-    outstanding_total: u64,
-    draining: bool,
-    rx_msgs: HashMap<MsgId, RxProgress>,
-    /// Messages fully delivered — the other half of the end-to-end
-    /// duplicate suppression: a detour can re-deliver a fragment after
-    /// its message already completed.
-    rx_done: HashSet<MsgId>,
-    /// RX event-ring occupancy: completions the host has not reaped yet
-    /// (only tracked when `cfg.rx_ring_entries` bounds the ring).
-    rx_ring_used: u32,
-    /// Completions held back by a full RX event ring, with the time the
-    /// notification write finished: `(note_done, msg, dst_vaddr, len)`.
-    rx_ring_held: VecDeque<(SimTime, MsgId, u64, u64)>,
-    /// Physically severed cables (admin kill): TX is swallowed, RX is
-    /// ignored. The card does not *know* — detection is the keepalive
-    /// plane's job.
-    cable_cut: [bool; NUM_PORTS],
-    /// Ports this card has declared dead (own keepalive escalation or a
-    /// neighbour's `LinkDown` about a shared cable). Dead ports never
-    /// re-arm timers, so the event stream stays bounded.
-    port_dead: [bool; NUM_PORTS],
-    /// Unanswered keepalive probes per port; any ingress traffic resets.
-    probes: [u32; NUM_PORTS],
-    /// Nonce source for keepalive pings.
-    ping_nonce: u64,
-    /// The mesh-wide dead-link map this card has converged on.
-    fault_map: FaultMap,
-    link_tx: [LinkTxState; NUM_PORTS],
-    link_rx: [LinkRxState; NUM_PORTS],
-    injectors: [Option<FaultInjector>; NUM_PORTS],
-    /// Any fault source is configured (legacy periodic corruption or an
-    /// injector on some port). When false, no retransmit timers are ever
-    /// armed, so healthy runs schedule zero extra timing-relevant events.
-    fault_active: bool,
-    /// Seeded RNG for the legacy periodic corruption's position/mask.
-    fault_rng: Xoshiro256ss,
     /// Span-correlated lifecycle trace sink (null by default; see
     /// [`Card::set_trace`]). Observation only — records never schedule
     /// events, so traced runs keep golden timing.
     trace: SharedSink,
     /// Datapath counters.
     pub stats: CardStats,
+    tx: TxStage,
+    link: LinkStage,
+    rx: RxStage,
+    route: RouteStage,
 }
 
 impl Card {
     /// Build a card at `coord` on a torus of `dims`.
     pub fn new(coord: Coord, dims: TorusDims, cfg: CardConfig, shared: CardShared) -> Self {
-        let fifo = ByteFifo::with_default_watermark(cfg.tx_fifo_bytes);
-        let coord_salt = ((coord.x as u64) << 16) | ((coord.y as u64) << 8) | coord.z as u64;
-        let fault_active = cfg.tx_bit_error_every.is_some();
-        let fault_rng = Xoshiro256ss::seed_from(fault::derive_seed(cfg.fault_seed, coord_salt));
         Card {
             coord,
             dims,
+            tx: TxStage::new(&cfg),
+            link: LinkStage::new(&cfg, coord),
+            rx: RxStage::default(),
+            route: RouteStage::default(),
             cfg,
             shared,
             nios: Nios::new(),
-            links_out: [None, None, None, None, None, None],
-            tx_jobs: HashMap::new(),
-            next_job: 0,
-            gpu_job_queue: VecDeque::new(),
-            gpu_job_active: None,
-            tx_fifo: fifo,
-            push_wait: VecDeque::new(),
-            tx_since_fault: 0,
-            staged_pending: 0,
-            outstanding_total: 0,
-            draining: false,
-            rx_msgs: HashMap::new(),
-            rx_done: HashSet::new(),
-            rx_ring_used: 0,
-            rx_ring_held: VecDeque::new(),
-            cable_cut: [false; NUM_PORTS],
-            port_dead: [false; NUM_PORTS],
-            probes: [0; NUM_PORTS],
-            ping_nonce: 0,
-            fault_map: FaultMap::new(),
-            link_tx: std::array::from_fn(|_| LinkTxState::default()),
-            link_rx: std::array::from_fn(|_| LinkRxState::default()),
-            injectors: std::array::from_fn(|_| None),
-            fault_active,
-            fault_rng,
             trace: SharedSink::null(),
             stats: CardStats::default(),
         }
@@ -472,6 +378,15 @@ impl Card {
     /// events into it. The default null sink costs one branch per site.
     pub fn set_trace(&mut self, sink: SharedSink) {
         self.trace = sink;
+    }
+
+    /// Record a lifecycle event of `msg`'s span on the trace sink (a
+    /// no-op on the default null sink).
+    fn record(&self, at: SimTime, kind: &'static str, msg: MsgId, payload: TracePayload) {
+        if self.trace.enabled() {
+            self.trace
+                .record(at, "card", kind, Some(msg.span()), payload);
+        }
     }
 
     /// Publish this card's link-reliability counters into `reg` under the
@@ -504,19 +419,14 @@ impl Card {
 
     /// Wire the outgoing torus link for `dir`.
     pub fn set_link(&mut self, dir: LinkDir, link: Rc<RefCell<TorusLink>>) {
-        self.links_out[dir.index()] = Some(link);
+        self.link.links_out[dir.index()] = Some(link);
     }
 
     /// Attach a fault injector to the transmit side of `port`. Arms the
     /// retransmit-timer machinery for the whole card.
     pub fn set_fault_injector(&mut self, port: Port, inj: FaultInjector) {
-        self.fault_active = true;
-        self.injectors[port.index()] = Some(inj);
-    }
-
-    /// The fault injector on `port`, if any.
-    pub fn fault_injector(&self, port: Port) -> Option<&FaultInjector> {
-        self.injectors[port.index()].as_ref()
+        self.link.arm();
+        self.link.injectors[port.index()] = Some(inj);
     }
 
     /// Arm the fault plane without attaching an injector: admin kill
@@ -524,13 +434,13 @@ impl Card {
     /// exactly like injected chaos, or the first in-flight frames on a
     /// killed cable would never time out.
     pub fn arm_fault_plane(&mut self) {
-        self.fault_active = true;
+        self.link.arm();
     }
 
     /// The mesh-wide dead-link map this card has converged on (empty on
     /// healthy runs; tests assert convergence across cards through it).
     pub fn fault_map(&self) -> &FaultMap {
-        &self.fault_map
+        &self.route.fault_map
     }
 
     /// True when no datapath or link-layer state is in flight: no TX
@@ -539,15 +449,13 @@ impl Card {
     /// suite asserts this after every run — leaked state here means lost
     /// or phantom traffic.
     pub fn quiesced(&self) -> bool {
-        self.tx_jobs.is_empty()
-            && self.push_wait.is_empty()
-            && self.tx_fifo.is_empty()
-            && self.rx_msgs.is_empty()
-            && self.rx_ring_held.is_empty()
-            && self
-                .link_tx
-                .iter()
-                .all(|st| st.replay.is_empty() && st.pending.is_empty())
+        let o = self.occupancy();
+        o.tx_jobs == 0
+            && o.push_wait == 0
+            && o.tx_fifo_packets == 0
+            && o.rx_partial_msgs == 0
+            && o.rx_ring_held == 0
+            && o.ports.iter().all(|p| p.replay == 0 && p.pending == 0)
     }
 
     /// The shared host/PCIe/GPU handles.
@@ -559,23 +467,16 @@ impl Card {
     /// what the occupancy sampler records each tick. Pure reads over
     /// existing state: taking a snapshot can never perturb scheduling.
     pub fn occupancy(&self) -> CardOccupancy {
-        CardOccupancy {
-            tx_fifo_bytes: self.tx_fifo.occupied(),
-            tx_fifo_packets: self.tx_fifo.len(),
-            push_wait: self.push_wait.len(),
-            staged_pending: self.staged_pending,
-            outstanding_total: self.outstanding_total,
-            tx_jobs: self.tx_jobs.len(),
-            rx_partial_msgs: self.rx_msgs.len(),
-            rx_ring_used: self.rx_ring_used,
-            rx_ring_held: self.rx_ring_held.len(),
-            ports: std::array::from_fn(|pi| PortOccupancy {
-                replay: self.link_tx[pi].replay.len(),
-                pending: self.link_tx[pi].pending.len(),
-                in_flight: self.link_tx[pi].next_seq - self.link_tx[pi].base,
-                wire_bytes: self.stats.links[pi].wire_bytes,
+        let mut o = CardOccupancy {
+            ports: std::array::from_fn(|pi| {
+                self.link
+                    .port_occupancy(pi, self.stats.links[pi].wire_bytes)
             }),
-        }
+            ..CardOccupancy::default()
+        };
+        self.tx.occupancy(&mut o);
+        self.rx.occupancy(&mut o);
+        o
     }
 }
 
@@ -585,123 +486,17 @@ impl Device for Card {
 
     fn handle(&mut self, now: SimTime, ev: CardIn, out: &mut Outbox<CardOut>) {
         match ev {
-            CardIn::TxSubmit(desc) => {
-                self.submit_tx(desc, false, now, out);
-            }
-            CardIn::GetSubmit(desc) => {
-                self.stats.get_requests += 1;
-                if self.trace.enabled() {
-                    self.trace.record(
-                        now,
-                        "card",
-                        tk::POST,
-                        Some(desc.msg.span()),
-                        TracePayload::Msg { len: desc.len },
-                    );
-                }
-                let packet = ApePacket::get_request(
-                    desc.peer,
-                    self.coord,
-                    desc.msg,
-                    desc.peer_vaddr,
-                    desc.len,
-                    desc.local_vaddr,
-                );
-                // Descriptor decode + request-header build on the Nios,
-                // then the header enters the TX FIFO like a staged packet
-                // and rides the ordinary drain/link/retransmit path.
-                let (_s, ready) = self.nios.run(now, self.cfg.get_req_nios);
-                out.push(
-                    ready.since(now),
-                    CardOut::ToSelf(CardIn::PushReady {
-                        job: GET_REQ_JOB,
-                        packet,
-                    }),
-                );
-            }
-            CardIn::GetServe { desc } => {
-                self.submit_tx(desc, true, now, out);
-            }
+            CardIn::TxSubmit(desc) => self.submit_tx(desc, false, now, out),
+            CardIn::GetSubmit(desc) => self.submit_get(desc, now, out),
+            CardIn::GetServe { desc } => self.submit_tx(desc, true, now, out),
             CardIn::FetchArrived { job, offset, len } => {
-                if len > 0 {
-                    self.outstanding_total = self.outstanding_total.saturating_sub(len as u64);
-                    self.staged_pending += len as u64;
-                    if let Some(j) = self.tx_jobs.get_mut(&job) {
-                        j.plan.arrived_bytes(len as u64);
-                        self.stats.tx_bytes_fetched += len as u64;
-                        if self.trace.enabled() {
-                            self.trace.record(
-                                now,
-                                "card",
-                                tk::FETCH,
-                                Some(j.desc.msg.span()),
-                                TracePayload::Bytes { len: len as u64 },
-                            );
-                        }
-                    }
-                    self.stage_packets(job, offset, len, now, out);
-                } else if self.tx_jobs.get(&job).is_some_and(|j| j.desc.len == 0) {
-                    // The zero-length sentinel packet.
-                    self.stage_packets(job, 0, 0, now, out);
-                }
-                self.issue_fetches(job, now, out);
+                self.fetch_arrived(job, offset, len, now, out)
             }
-            CardIn::PushReady { job, packet } => {
-                self.try_push(job, packet, now, out);
-            }
-            CardIn::DrainNext => {
-                self.draining = false;
-                while let Some((job_id, packet)) = self.push_wait.pop_front() {
-                    if self.tx_fifo.fits(packet.wire_bytes()) {
-                        self.try_push(job_id, packet, now, out);
-                    } else {
-                        self.push_wait.push_front((job_id, packet));
-                        break;
-                    }
-                }
-                self.kick_drain(now, out);
-                // Sorted: HashMap iteration order is seeded per process,
-                // and the fetch-issue order below contends for the PCIe
-                // fabric — unsorted it leaks hasher state into timing.
-                let mut jobs: Vec<u32> = self.tx_jobs.keys().copied().collect();
-                jobs.sort_unstable();
-                for j in jobs {
-                    self.issue_fetches(j, now, out);
-                }
-            }
-            CardIn::LinkRx { port, msg } => {
-                let pi = port.index();
-                if self.cable_cut[pi] || self.port_dead[pi] {
-                    return; // frames in flight when the cable died are lost
-                }
-                self.probes[pi] = 0; // any ingress traffic is proof of life
-                match msg {
-                    LinkMsg::Data(frame) => self.link_rx_data(port, frame, now, out),
-                    LinkMsg::Ack { upto } => self.handle_ack(port, upto, now, out),
-                    LinkMsg::Nak { expect } => self.handle_nak(port, expect, now, out),
-                    LinkMsg::Ping { nonce } => {
-                        self.send_control(port, LinkMsg::Pong { nonce }, out)
-                    }
-                    // The probe-counter reset above was the whole point.
-                    LinkMsg::Pong { .. } => {}
-                    LinkMsg::LinkDown { origin, dir } => {
-                        self.handle_link_down(port, origin, dir, now, out)
-                    }
-                }
-            }
-            CardIn::LinkTimeout { port, epoch } => {
-                self.handle_timeout(port, epoch, now, out);
-            }
-            CardIn::AdminLinkDown { port } => {
-                let pi = port.index();
-                if !self.cable_cut[pi] {
-                    self.cable_cut[pi] = true;
-                    // The kill schedule arms the fault plane; from here on
-                    // frames are windowed and timers run, so the keepalive
-                    // detector can escalate.
-                    self.fault_active = true;
-                }
-            }
+            CardIn::PushReady { job, packet } => self.try_push(job, packet, now, out),
+            CardIn::DrainNext => self.drain_next(now, out),
+            CardIn::LinkRx { port, msg } => self.link_rx(port, msg, now, out),
+            CardIn::LinkTimeout { port, epoch } => self.handle_timeout(port, epoch, now, out),
+            CardIn::AdminLinkDown { port } => self.admin_link_down(port),
             CardIn::RxRingPop { n } => self.rx_ring_pop(n, now, out),
         }
     }

@@ -1,11 +1,18 @@
 //! RX delivery: extraction, BUF_LIST/V2P lookup, the RX event ring,
 //! the GET responder and the ECN echo.
 
-use super::*;
+use super::tx::NO_JOB;
+use super::{Card, CardError, CardIn, CardOccupancy, CardOut, TxDesc};
+use crate::nios::BufKind;
+use crate::packet::{ApePacket, MsgId};
+use apenet_pcie::tlp::TlpKind;
+use apenet_sim::trace::{kind as tk, TracePayload};
+use apenet_sim::{Outbox, SimDuration, SimTime};
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
 /// Reassembly state of one partially received message.
 #[derive(Debug)]
-pub(super) struct RxProgress {
+struct RxProgress {
     /// Payload bytes accepted so far.
     bytes: u64,
     /// Lowest fragment `dst_vaddr` seen (the message base).
@@ -19,6 +26,32 @@ pub(super) struct RxProgress {
     marked: bool,
 }
 
+/// The RX stage's state: message reassembly, end-to-end duplicate
+/// suppression and the RX event ring.
+#[derive(Default)]
+pub(super) struct RxStage {
+    msgs: HashMap<MsgId, RxProgress>,
+    /// Messages fully delivered — the other half of the end-to-end
+    /// duplicate suppression: a detour can re-deliver a fragment after
+    /// its message already completed.
+    done: HashSet<MsgId>,
+    /// RX event-ring occupancy: completions the host has not reaped yet
+    /// (only tracked when `cfg.rx_ring_entries` bounds the ring).
+    ring_used: u32,
+    /// Completions held back by a full RX event ring, with the time the
+    /// notification write finished: `(note_done, msg, dst_vaddr, len)`.
+    ring_held: VecDeque<(SimTime, MsgId, u64, u64)>,
+}
+
+impl RxStage {
+    /// Fill in the RX levels of an occupancy snapshot.
+    pub(super) fn occupancy(&self, o: &mut CardOccupancy) {
+        o.rx_partial_msgs = self.msgs.len();
+        o.rx_ring_used = self.ring_used;
+        o.rx_ring_held = self.ring_held.len();
+    }
+}
+
 impl Card {
     /// Route a link-verified packet: local extraction or transit forward.
     pub(super) fn deliver_up(
@@ -30,14 +63,15 @@ impl Card {
         if packet.dst == self.coord {
             self.rx_local(packet, now, out);
         } else {
-            self.forward(packet, now, out);
+            self.stats.forwarded += 1;
+            self.route_send(packet, now + self.cfg.router_forward, now, false, out);
         }
     }
 
     /// Handle an extracted packet addressed to this node. The CRC was
-    /// already verified hop-by-hop at link ingress ([`Self::link_rx_data`]),
-    /// so the packet is clean here.
-    pub(super) fn rx_local(&mut self, packet: ApePacket, now: SimTime, out: &mut Outbox<CardOut>) {
+    /// already verified hop-by-hop at link ingress, so the packet is
+    /// clean here.
+    fn rx_local(&mut self, packet: ApePacket, now: SimTime, out: &mut Outbox<CardOut>) {
         self.stats.rx_packets += 1;
         // A congestion-notification echo terminating at the source card:
         // hand it straight to the host-side pacer. No dedup, no memory
@@ -64,24 +98,22 @@ impl Card {
         // the sender onto the detour route and arrives a second time. The
         // per-message fragment set catches in-progress duplicates; the
         // tombstone catches ones landing after the message completed.
-        if self.rx_done.contains(&packet.msg)
+        if self.rx.done.contains(&packet.msg)
             || self
-                .rx_msgs
+                .rx
+                .msgs
                 .get(&packet.msg)
                 .is_some_and(|p| p.got.contains(&packet.dst_vaddr))
         {
             self.stats.rx_dup_fragments += 1;
             return;
         }
-        if self.trace.enabled() {
-            self.trace.record(
-                now,
-                "card",
-                tk::RX_WRITE,
-                Some(packet.msg.span()),
-                TracePayload::Bytes { len: packet.len() },
-            );
-        }
+        self.record(
+            now,
+            tk::RX_WRITE,
+            packet.msg,
+            TracePayload::Bytes { len: packet.len() },
+        );
         let fw = self.shared.firmware.borrow();
         let (entry, bl_cost) = fw.buf_list.lookup(packet.dst_vaddr, packet.len());
         let Some(entry) = entry else {
@@ -101,19 +133,25 @@ impl Card {
         let (_s, nios_done) = self.nios.run(now, task);
         // Write the payload to the destination memory over the fabric.
         let len = packet.len();
-        let done = match entry.kind {
-            BufKind::Host => {
-                let mut fabric = self.shared.fabric.borrow_mut();
-                fabric.set_span(Some(packet.msg.span()));
-                let st = fabric.send_stream(
-                    nios_done,
-                    self.shared.nic_dev,
-                    self.shared.hostmem_dev,
-                    TlpKind::MemWrite,
-                    len,
-                    apenet_pcie::MAX_PAYLOAD,
-                );
-                fabric.set_span(None);
+        let gpu = match entry.kind {
+            BufKind::Gpu(id) => Some(self.shared.gpus[id.0 as usize].clone()),
+            BufKind::Host => None,
+        };
+        let dst_dev = gpu.as_ref().map_or(self.shared.hostmem_dev, |g| g.pcie_dev);
+        let mut fabric = self.shared.fabric.borrow_mut();
+        fabric.set_span(Some(packet.msg.span()));
+        let st = fabric.send_stream(
+            nios_done,
+            self.shared.nic_dev,
+            dst_dev,
+            TlpKind::MemWrite,
+            len,
+            apenet_pcie::MAX_PAYLOAD,
+        );
+        fabric.set_span(None);
+        drop(fabric);
+        let done = match gpu {
+            None => {
                 if len > 0 {
                     self.shared
                         .hostmem
@@ -123,19 +161,7 @@ impl Card {
                 }
                 st.arrive
             }
-            BufKind::Gpu(id) => {
-                let gpu = self.shared.gpus[id.0 as usize].clone();
-                let mut fabric = self.shared.fabric.borrow_mut();
-                fabric.set_span(Some(packet.msg.span()));
-                let st = fabric.send_stream(
-                    nios_done,
-                    self.shared.nic_dev,
-                    gpu.pcie_dev,
-                    TlpKind::MemWrite,
-                    len,
-                    apenet_pcie::MAX_PAYLOAD,
-                );
-                fabric.set_span(None);
+            Some(gpu) => {
                 let mut cuda = gpu.cuda.borrow_mut();
                 let wend = cuda.p2p.absorb_write(nios_done, packet.dst_vaddr, len);
                 if len > 0 {
@@ -148,7 +174,8 @@ impl Card {
         };
         self.stats.rx_bytes += len;
         let entry = self
-            .rx_msgs
+            .rx
+            .msgs
             .entry(packet.msg)
             .or_insert_with(|| RxProgress {
                 bytes: 0,
@@ -163,8 +190,8 @@ impl Card {
         if entry.bytes >= packet.msg_len {
             let base = entry.base;
             let mut marked = entry.marked;
-            self.rx_msgs.remove(&packet.msg);
-            self.rx_done.insert(packet.msg);
+            self.rx.msgs.remove(&packet.msg);
+            self.rx.done.insert(packet.msg);
             // RX-ring occupancy is the receiver-side congestion signal:
             // a ring past its high-water mark (or one so full the
             // completion must be held below) marks the message even if
@@ -173,7 +200,7 @@ impl Card {
                 if self
                     .cfg
                     .rx_ring_entries
-                    .is_some_and(|_| self.rx_ring_used >= ov.ring_highwater)
+                    .is_some_and(|_| self.rx.ring_used >= ov.ring_highwater)
                 {
                     self.stats.ecn_marked += 1;
                     marked = true;
@@ -185,25 +212,23 @@ impl Card {
             // Completion notification (event-queue write the host polls).
             let (_s, note_done) = self.nios.run(done, self.cfg.rx_notify);
             if let Some(cap) = self.cfg.rx_ring_entries {
-                if self.rx_ring_used >= cap {
+                if self.rx.ring_used >= cap {
                     // Credit backpressure: hold the completion (never drop
                     // it) until the host reaps ring entries via RxRingPop.
                     // The span records RX_HELD now and DELIVERED at the
                     // actual release, so the ledger's `rx_ring_wait` stage
                     // is the real backpressure wait.
                     self.stats.rx_ring_stalls += 1;
-                    if self.trace.enabled() {
-                        self.trace.record(
-                            note_done,
-                            "card",
-                            tk::RX_HELD,
-                            Some(packet.msg.span()),
-                            TracePayload::Msg {
-                                len: packet.msg_len,
-                            },
-                        );
-                    }
-                    self.rx_ring_held
+                    self.record(
+                        note_done,
+                        tk::RX_HELD,
+                        packet.msg,
+                        TracePayload::Msg {
+                            len: packet.msg_len,
+                        },
+                    );
+                    self.rx
+                        .ring_held
                         .push_back((note_done, packet.msg, base, packet.msg_len));
                     out.push(
                         SimDuration::ZERO,
@@ -211,27 +236,9 @@ impl Card {
                     );
                     return;
                 }
-                self.rx_ring_used += 1;
+                self.rx.ring_used += 1;
             }
-            if self.trace.enabled() {
-                self.trace.record(
-                    note_done,
-                    "card",
-                    tk::DELIVERED,
-                    Some(packet.msg.span()),
-                    TracePayload::Msg {
-                        len: packet.msg_len,
-                    },
-                );
-            }
-            out.push(
-                note_done.since(now),
-                CardOut::Delivered {
-                    msg: packet.msg,
-                    dst_vaddr: base,
-                    len: packet.msg_len,
-                },
-            );
+            self.complete(note_done, now, packet.msg, base, packet.msg_len, out);
         }
     }
 
@@ -243,7 +250,7 @@ impl Card {
     /// ordinary fetch/FIFO/link machinery, so V2P-walk costs, go-back-N
     /// retransmission, dead-link detours and requester-side fragment
     /// dedup all compose unchanged.
-    pub(super) fn serve_get(&mut self, packet: ApePacket, now: SimTime, out: &mut Outbox<CardOut>) {
+    fn serve_get(&mut self, packet: ApePacket, now: SimTime, out: &mut Outbox<CardOut>) {
         let reply_vaddr = packet
             .get
             .expect("caller checked is_get_request")
@@ -251,11 +258,7 @@ impl Card {
         // A watchdog-reissued request racing a still-streaming reply
         // would double-serve; the requester's dedup makes that harmless,
         // but suppressing it here keeps the wire quiet and counted.
-        if self
-            .tx_jobs
-            .values()
-            .any(|j| j.get_reply && j.desc.msg == packet.msg)
-        {
+        if self.tx.serving_get(packet.msg) {
             self.stats.get_dup_requests += 1;
             return;
         }
@@ -293,7 +296,7 @@ impl Card {
     /// CNP frame routed back to the source card through the ordinary TX
     /// FIFO / link machinery (so it shares the reliability layer and can
     /// detour around dead cables like any frame).
-    pub(super) fn emit_echo(&mut self, msg: MsgId, now: SimTime, out: &mut Outbox<CardOut>) {
+    fn emit_echo(&mut self, msg: MsgId, now: SimTime, out: &mut Outbox<CardOut>) {
         self.stats.ecn_echoed += 1;
         let origin = self.dims.coord_of(msg.src_rank as usize);
         if origin == self.coord {
@@ -308,7 +311,7 @@ impl Card {
         out.push(
             ready.since(now),
             CardOut::ToSelf(CardIn::PushReady {
-                job: ECHO_JOB,
+                job: NO_JOB,
                 packet,
             }),
         );
@@ -320,30 +323,33 @@ impl Card {
         let Some(cap) = self.cfg.rx_ring_entries else {
             return; // unbounded ring: nothing is ever held
         };
-        self.rx_ring_used = self.rx_ring_used.saturating_sub(n);
-        while self.rx_ring_used < cap {
-            let Some((note_done, msg, dst_vaddr, len)) = self.rx_ring_held.pop_front() else {
+        self.rx.ring_used = self.rx.ring_used.saturating_sub(n);
+        while self.rx.ring_used < cap {
+            let Some((note_done, msg, dst_vaddr, len)) = self.rx.ring_held.pop_front() else {
                 break;
             };
-            self.rx_ring_used += 1;
-            let at = note_done.max(now);
-            if self.trace.enabled() {
-                self.trace.record(
-                    at,
-                    "card",
-                    tk::DELIVERED,
-                    Some(msg.span()),
-                    TracePayload::Msg { len },
-                );
-            }
-            out.push(
-                at.since(now),
-                CardOut::Delivered {
-                    msg,
-                    dst_vaddr,
-                    len,
-                },
-            );
+            self.rx.ring_used += 1;
+            self.complete(note_done.max(now), now, msg, dst_vaddr, len, out);
         }
+    }
+
+    /// Post the RX completion of `msg` (the event-ring write the host
+    /// polls) at `at`.
+    fn complete(
+        &self,
+        at: SimTime,
+        now: SimTime,
+        msg: MsgId,
+        dst_vaddr: u64,
+        len: u64,
+        out: &mut Outbox<CardOut>,
+    ) {
+        self.record(at, tk::DELIVERED, msg, TracePayload::Msg { len });
+        let delivered = CardOut::Delivered {
+            msg,
+            dst_vaddr,
+            len,
+        };
+        out.push(at.since(now), delivered);
     }
 }

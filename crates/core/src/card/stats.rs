@@ -130,7 +130,9 @@ pub mod metrics {
     ];
 }
 
-/// Datapath counters.
+/// Datapath counters. Link-layer activity (replays, CRC drops, NAKs, …)
+/// is counted per port only, in `links`; [`CardStats::link_sums`] totals
+/// it across ports.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CardStats {
     /// Bytes fetched from TX source memory (host or GPU).
@@ -143,10 +145,6 @@ pub struct CardStats {
     pub rx_bytes: u64,
     /// Transit packets forwarded by the router.
     pub forwarded: u64,
-    /// Data frames replayed by the link layer, all ports combined.
-    pub retransmits: u64,
-    /// Frames lost to CRC failure (kill-switch mode only).
-    pub crc_dropped: u64,
     /// Packets dropped because no registered buffer matched.
     pub rx_unmatched: u64,
     /// Ports this card declared dead (keepalive escalation or a
@@ -204,7 +202,7 @@ impl CardStats {
 }
 
 /// Point-in-time occupancy of one port's go-back-N transmit side, plus
-/// its cumulative wire-byte counter (see [`Card::occupancy`]).
+/// its cumulative wire-byte counter (see [`Card::occupancy`](super::Card::occupancy)).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PortOccupancy {
     /// Unacknowledged frames held in the replay buffer.
@@ -218,7 +216,7 @@ pub struct PortOccupancy {
 }
 
 /// Point-in-time occupancy of every card-side queue and buffer — the
-/// occupancy sampler's per-tick read (see [`Card::occupancy`]).
+/// occupancy sampler's per-tick read (see [`Card::occupancy`](super::Card::occupancy)).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CardOccupancy {
     /// Bytes resident in the TX packet FIFO.
