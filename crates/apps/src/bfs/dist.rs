@@ -93,7 +93,7 @@ impl RankState {
     /// Scan the current frontier: local discoveries are applied on the
     /// spot (they join the *next* frontier later via `apply`), remote
     /// candidates are binned per owner rank, deduplicated per level (the
-    /// sort-unique pass of the paper's multi-GPU BFS [15]).
+    /// sort-unique pass of the paper's multi-GPU BFS \[15\]).
     pub fn expand(&mut self, g: &Csr, next_level: i32) -> Expansion {
         let np = self.part.np;
         let mut to_rank: Vec<Vec<(u32, u32)>> = (0..np).map(|_| Vec::new()).collect();

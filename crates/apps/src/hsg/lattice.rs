@@ -100,11 +100,6 @@ impl Slab {
         Self::new(l, 0, l, seed)
     }
 
-    /// Number of owned sites.
-    pub fn owned_sites(&self) -> usize {
-        self.lz * self.l * self.l
-    }
-
     #[inline]
     fn idx(&self, p: usize, y: usize, x: usize) -> usize {
         (p * self.l + y) * self.l + x

@@ -225,12 +225,6 @@ impl HsgRank {
         self.phase_start = api.now;
         self.bulk_waited = false;
         self.tx_barrier = self.tx_expect_total;
-        if std::env::var_os("HSG_TRACE").is_some() {
-            eprintln!(
-                "r{} phase step{} c{} start at {}",
-                self.rank, self.step, self.color, api.now
-            );
-        }
         if self.cfg.np == 1 {
             if let Some(s) = &mut self.slab {
                 s.wrap_ghosts();
@@ -431,12 +425,6 @@ impl HsgRank {
                 slab.unpack_ghost(ghost_plane, color as u8, &bytes);
             }
             self.halos_ready[color] += 1;
-            if std::env::var_os("HSG_TRACE").is_some() && self.rank == 0 {
-                eprintln!(
-                    "r0 step{} c{} halo c{color} n{} at {} (bnd_done {})",
-                    self.step, self.color, self.halos_ready[color], api.now, self.bnd_done
-                );
-            }
             self.maybe_finish_phase(node, api);
         }
     }

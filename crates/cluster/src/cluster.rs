@@ -12,7 +12,7 @@ use apenet_gpu::mem::Memory;
 use apenet_sim::engine::{ActorId, Sim};
 use apenet_sim::fault::{derive_seed, FaultInjector};
 use apenet_sim::trace::SharedSink;
-use apenet_sim::{SimDuration, SimTime};
+use apenet_sim::SimTime;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -261,17 +261,5 @@ impl Cluster {
             .actor(self.cards[rank])
             .as_card()
             .expect("card actor at card id")
-    }
-
-    /// Wake host `rank` at time `at` with `tag`.
-    pub fn wake_host(&mut self, rank: usize, at: SimTime, tag: u64) {
-        self.sim
-            .send(self.hosts[rank], at, Msg::Host(HostIn::Wake(tag)));
-    }
-
-    /// Convenience: wake after a delay from now.
-    pub fn wake_host_after(&mut self, rank: usize, delay: SimDuration, tag: u64) {
-        let at = self.sim.now() + delay;
-        self.wake_host(rank, at, tag);
     }
 }

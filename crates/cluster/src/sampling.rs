@@ -11,7 +11,7 @@
 //! the sampled run is *bit-identical* to an unsampled one. The golden
 //! two-pass test holds this to the digest level.
 //!
-//! What gets recorded, per node rank `r`, into [`TimeSeries`] metrics:
+//! What gets recorded, per node rank `r`, into [`TimeSeries`](apenet_obs::TimeSeries) metrics:
 //!
 //! * `card{r}.*` — TX FIFO bytes/packets, header-FIFO elasticity
 //!   (`push_wait`), staged and outstanding byte credits, open TX jobs,
@@ -26,7 +26,6 @@
 //! * `cluster.calendar` — pending-event count of the engine itself.
 
 use crate::cluster::Cluster;
-use apenet_core::coord::LinkDir;
 use apenet_obs::Registry;
 use apenet_pcie::link::Dir;
 use apenet_sim::{SimDuration, SimTime};
@@ -34,11 +33,6 @@ use apenet_sim::{SimDuration, SimTime};
 /// Short stable labels for the six torus directions plus loop-back,
 /// in port-index order.
 pub const PORT_LABELS: [&str; 7] = ["x+", "x-", "y+", "y-", "z+", "z-", "lb"];
-
-/// Label for the port of `dir`.
-pub fn dir_label(dir: LinkDir) -> &'static str {
-    PORT_LABELS[dir.index()]
-}
 
 /// The periodic occupancy probe. Owns a private [`Registry`] so sampled
 /// series never leak into the global metrics namespace; consumers read

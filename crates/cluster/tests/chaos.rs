@@ -24,16 +24,6 @@ use apenet_rdma::driver::metrics as wm;
 use apenet_sim::check::{self, Gen};
 use apenet_sim::fault::FaultSpec;
 
-/// Per-test case budget: `APENET_CHAOS_CASES` (default 200) split across
-/// the suite's three property tests.
-fn budget(share: u32) -> u32 {
-    let total: u32 = std::env::var("APENET_CHAOS_CASES")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(200);
-    (total * share / 100).max(4)
-}
-
 /// A random fault spec with per-frame rates up to 1-in-20.
 fn random_spec(g: &mut Gen) -> FaultSpec {
     let rate = |g: &mut Gen| match g.usize(0, 4) {
@@ -74,7 +64,7 @@ fn assert_exactly_once(r: &ChaosReport, ctx: &str) {
 
 #[test]
 fn two_node_chaos_delivers_exactly_once() {
-    check::cases("two-node chaos", budget(55), |g| {
+    check::cases("two-node chaos", check::chaos_budget(55), |g| {
         let seed = g.u64(0, u64::MAX - 1);
         let spec = random_spec(g);
         let cfg = cluster_i_chaos(seed, spec);
@@ -98,7 +88,7 @@ fn two_node_chaos_delivers_exactly_once() {
 
 #[test]
 fn multi_node_chaos_delivers_exactly_once() {
-    check::cases("multi-node chaos", budget(30), |g| {
+    check::cases("multi-node chaos", check::chaos_budget(30), |g| {
         let seed = g.u64(0, u64::MAX - 1);
         let spec = random_spec(g);
         let cfg = cluster_i_chaos(seed, spec);
@@ -123,7 +113,7 @@ fn multi_node_chaos_delivers_exactly_once() {
 #[test]
 fn kill_switch_chaos_loses_messages() {
     let mut broken = 0u32;
-    let cases = budget(10);
+    let cases = check::chaos_budget(10);
     check::cases("kill-switch chaos", cases, |g| {
         let seed = g.u64(0, u64::MAX - 1);
         // Hot rates so nearly every schedule actually bites.
@@ -164,7 +154,7 @@ fn kill_switch_chaos_loses_messages() {
 /// retries idempotent, so delivery completes despite drops.
 #[test]
 fn watchdog_recovers_when_link_layer_cannot() {
-    check::cases("watchdog recovery", budget(5), |g| {
+    check::cases("watchdog recovery", check::chaos_budget(5), |g| {
         let seed = g.u64(0, u64::MAX - 1);
         let spec = FaultSpec {
             drop_rate: 1.0 / 20.0,

@@ -42,16 +42,6 @@ fn us(n: u64) -> SimTime {
     SimTime::from_ps(n * 1_000_000)
 }
 
-/// Per-test case budget: `APENET_CHAOS_CASES` (default 200) split across
-/// the suite's property tests.
-fn budget(share: u32) -> u32 {
-    let total: u32 = std::env::var("APENET_CHAOS_CASES")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(200);
-    (total * share / 100).max(4)
-}
-
 /// A random fault spec with per-frame rates up to 1-in-20.
 fn random_spec(g: &mut Gen) -> FaultSpec {
     let rate = |g: &mut Gen| match g.usize(0, 4) {
@@ -111,7 +101,7 @@ fn assert_get_exactly_once(r: &ChaosReport, ctx: &str) {
 
 #[test]
 fn two_node_get_chaos_delivers_exactly_once() {
-    check::cases("two-node GET chaos", budget(30), |g| {
+    check::cases("two-node GET chaos", check::chaos_budget(30), |g| {
         let seed = g.u64(0, u64::MAX - 1);
         let spec = random_spec(g);
         let cfg = cluster_i_chaos(seed, spec);
@@ -134,7 +124,7 @@ fn two_node_get_chaos_delivers_exactly_once() {
 
 #[test]
 fn multi_node_get_chaos_delivers_exactly_once() {
-    check::cases("multi-node GET chaos", budget(20), |g| {
+    check::cases("multi-node GET chaos", check::chaos_budget(20), |g| {
         let seed = g.u64(0, u64::MAX - 1);
         let spec = random_spec(g);
         let cfg = cluster_i_chaos(seed, spec);
@@ -161,7 +151,7 @@ fn multi_node_get_chaos_delivers_exactly_once() {
 /// the fault schedule hits whichever frames it hits in both runs.
 #[test]
 fn get_moderation_matches_sig_all_oracle_on_same_seed() {
-    check::cases("GET moderation vs oracle", budget(15), |g| {
+    check::cases("GET moderation vs oracle", check::chaos_budget(15), |g| {
         let seed = g.u64(0, u64::MAX - 1);
         let spec = random_spec(g);
         let p = ChaosParams {

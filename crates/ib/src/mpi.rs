@@ -57,11 +57,6 @@ impl CudaAwareMpi {
         self.fabric.config()
     }
 
-    /// Direct fabric access (for tests and custom protocols).
-    pub fn fabric_mut(&mut self) -> &mut IbFabric {
-        &mut self.fabric
-    }
-
     fn cfg(&self) -> IbConfig {
         self.fabric.config().clone()
     }

@@ -94,7 +94,7 @@ pub fn export(records: &[TraceRecord]) -> Vec<TraceEvent> {
 /// messages from one rank can overlap in time (a burst), which on a
 /// shared per-rank track would produce straddling phase slices; one
 /// track per message keeps proper nesting by construction. Span order
-/// (and so tid assignment) is the deterministic [`SpanId`] order.
+/// (and so tid assignment) is the deterministic [`SpanId`](apenet_sim::trace::SpanId) order.
 pub fn export_per_span(records: &[TraceRecord]) -> Vec<TraceEvent> {
     let spans = collect_ledgers(records);
     let tracks = spans.iter().zip(1..).flat_map(|(l, tid)| {

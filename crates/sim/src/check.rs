@@ -15,6 +15,7 @@
 //! });
 //! ```
 
+use crate::env::{env_var, EnvError};
 use crate::rng::Xoshiro256ss;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
@@ -65,11 +66,6 @@ impl Gen {
         self.rng.chance(p)
     }
 
-    /// Uniform `f64` in `[0, 1)`.
-    pub fn f64_unit(&mut self) -> f64 {
-        self.rng.next_f64()
-    }
-
     /// A random byte vector with length in `[min_len, max_len]`.
     pub fn bytes(&mut self, min_len: usize, max_len: usize) -> Vec<u8> {
         let n = self.usize(min_len, max_len + 1);
@@ -98,27 +94,48 @@ impl Gen {
     }
 }
 
-fn env_u64(name: &str) -> Option<u64> {
-    std::env::var(name).ok()?.trim().parse().ok()
+const UINT_GRAMMAR: &str = "an unsigned integer";
+
+/// The grammar of the case-count and seed env vars: an unsigned decimal
+/// integer that fits `T`, surrounding whitespace allowed. Empty reads as
+/// `None` (use the default).
+fn parse_uint<T: std::str::FromStr>(var: &'static str, v: &str) -> Result<Option<T>, EnvError> {
+    let v = v.trim();
+    if v.is_empty() {
+        return Ok(None);
+    }
+    v.parse()
+        .map(Some)
+        .map_err(|_| EnvError::new(var, v, UINT_GRAMMAR))
+}
+
+/// `var` read through [`parse_uint`].
+///
+/// # Panics
+///
+/// On a malformed value, naming the variable.
+fn env_uint<T: std::str::FromStr>(var: &'static str) -> Option<T> {
+    env_var(var, |v| parse_uint(var, v))
 }
 
 /// Base seed for this process (`APENET_PROP_SEED` or [`DEFAULT_SEED`]).
 pub fn base_seed() -> u64 {
-    env_u64("APENET_PROP_SEED").unwrap_or(DEFAULT_SEED)
+    env_uint("APENET_PROP_SEED").unwrap_or(DEFAULT_SEED)
 }
 
-/// Case count for this process (`APENET_PROP_CASES` or [`DEFAULT_CASES`]).
-pub fn case_count() -> u32 {
-    env_u64("APENET_PROP_CASES")
-        .map(|n| n as u32)
-        .unwrap_or(DEFAULT_CASES)
+/// One chaos property's case budget: `share` percent of
+/// `APENET_CHAOS_CASES` (default 200, split across a chaos suite's
+/// properties), at least 4.
+pub fn chaos_budget(share: u32) -> u32 {
+    let total: u32 = env_uint("APENET_CHAOS_CASES").unwrap_or(200);
+    (total * share / 100).max(4)
 }
 
 /// Run `property` for `n` seeded cases (capped/overridden by
 /// `APENET_PROP_CASES`). On panic, reports the property name, case index
 /// and per-case seed, then re-raises the panic so the test fails.
 pub fn cases(name: &str, n: u32, mut property: impl FnMut(&mut Gen)) {
-    let n = env_u64("APENET_PROP_CASES").map(|v| v as u32).unwrap_or(n);
+    let n = env_uint("APENET_PROP_CASES").unwrap_or(n);
     let base = base_seed();
     for i in 0..n {
         let seed = base.wrapping_add(i as u64);
@@ -167,6 +184,24 @@ mod tests {
             let item = *g.pick(&[1, 2, 3]);
             assert!((1..=3).contains(&item));
         });
+    }
+
+    #[test]
+    fn uint_grammar_is_strict() {
+        let v = "APENET_CHAOS_CASES";
+        assert_eq!(parse_uint::<u32>(v, ""), Ok(None));
+        assert_eq!(parse_uint::<u32>(v, " 512 "), Ok(Some(512)));
+        assert_eq!(
+            parse_uint::<u64>(v, "18446744073709551615"),
+            Ok(Some(u64::MAX))
+        );
+        for bad in ["5l2", "-1", "1e3", "0x10", "4294967296"] {
+            assert_eq!(
+                parse_uint::<u32>(v, bad),
+                Err(EnvError::new(v, bad, UINT_GRAMMAR)),
+                "{bad}"
+            );
+        }
     }
 
     #[test]

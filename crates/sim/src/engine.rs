@@ -467,14 +467,6 @@ impl<M, A: Actor<M>> Sim<M, A> {
         flush_thread_events();
         self.now
     }
-
-    /// Run while `pred` (called on the sim before each step) returns true
-    /// and events remain.
-    pub fn run_while(&mut self, mut pred: impl FnMut(&Sim<M, A>) -> bool) -> SimTime {
-        while pred(self) && self.step() {}
-        flush_thread_events();
-        self.now
-    }
 }
 
 #[cfg(test)]

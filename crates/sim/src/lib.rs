@@ -109,11 +109,6 @@ impl<T> Outbox<T> {
         self.items.push((delay, ev));
     }
 
-    /// Emit `ev` immediately (zero delay).
-    pub fn push_now(&mut self, ev: T) {
-        self.push(SimDuration::ZERO, ev);
-    }
-
     /// Number of pending outputs.
     pub fn len(&self) -> usize {
         self.items.len()
@@ -127,10 +122,5 @@ impl<T> Outbox<T> {
     /// Drain all collected outputs.
     pub fn drain(&mut self) -> impl Iterator<Item = (SimDuration, T)> + '_ {
         self.items.drain(..)
-    }
-
-    /// Consume the outbox, returning the collected outputs.
-    pub fn into_vec(self) -> Vec<(SimDuration, T)> {
-        self.items
     }
 }
