@@ -267,14 +267,13 @@ impl Card {
             let src_kind = job.desc.src_kind;
             let span = job.desc.msg.span();
             // v1 pays Nios software time per request *before* issuing it.
-            let req_ready =
+            let mut req_ready =
                 if matches!(src_kind, BufKind::Gpu(_)) && self.cfg.gpu_tx == GpuTxVersion::V1 {
                     let cost = self.cfg.tx_v1_per_chunk;
                     self.nios.run(now, cost).1
                 } else {
                     now
                 };
-            let job = self.tx.jobs.get_mut(&job_id).expect("job exists");
             // BAR1 reads need the source range mapped into the aperture
             // first — once per buffer, and expensive ("a full
             // reconfiguration of the GPU").
@@ -282,7 +281,6 @@ impl Card {
                 BufKind::Gpu(id) => Some(self.shared.gpus[id.0 as usize].clone()),
                 BufKind::Host => None,
             };
-            let mut req_ready = req_ready;
             if let Some(gpu) = gpu
                 .as_ref()
                 .filter(|_| self.cfg.gpu_read == GpuReadMethod::Bar1)
@@ -323,7 +321,6 @@ impl Card {
                 apenet_pcie::MAX_PAYLOAD,
             );
             fabric.set_span(None);
-            drop(fabric);
             let arrive = st.arrive.max(cpl.last);
             job.plan.issued(n);
             self.tx.outstanding_total += n;
