@@ -2,7 +2,7 @@
 //! of the overload-protection plane.
 //!
 //! The card half (ECN-style marking plus CNP echoes, `apenet-core`'s
-//! `card.rs`) tells the sending host *that* a path is over its
+//! `card::link` and `card::rx`) tells the sending host *that* a path is over its
 //! high-water mark; this module decides *what to do about it*: a
 //! per-destination congestion window shrunk multiplicatively on every
 //! echo and grown additively on clean completions (DCQCN-flavoured

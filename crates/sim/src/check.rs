@@ -127,8 +127,11 @@ pub fn base_seed() -> u64 {
 /// `APENET_CHAOS_CASES` (default 200, split across a chaos suite's
 /// properties), at least 4.
 pub fn chaos_budget(share: u32) -> u32 {
+    assert!(share <= 100, "a share is a percentage, got {share}");
     let total: u32 = env_uint("APENET_CHAOS_CASES").unwrap_or(200);
-    (total * share / 100).max(4)
+    // At most `total`, so it fits back into a u32.
+    let cases = u64::from(total) * u64::from(share) / 100;
+    (cases as u32).max(4)
 }
 
 /// Run `property` for `n` seeded cases (capped/overridden by
