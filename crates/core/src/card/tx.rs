@@ -98,11 +98,12 @@ impl TxStage {
 /// Re-enter `fetch_arrived` for `job` after `delay` with no data:
 /// the engine-ready kick, or the header-only message's one empty packet.
 fn kick_fetch(job: u32, delay: SimDuration, out: &mut Outbox<CardOut>) {
-    let (offset, len) = (0, 0);
-    out.push(
-        delay,
-        CardOut::ToSelf(CardIn::FetchArrived { job, offset, len }),
-    );
+    let kick = CardIn::FetchArrived {
+        job,
+        offset: 0,
+        len: 0,
+    };
+    out.push(delay, CardOut::ToSelf(kick));
 }
 
 impl Card {
