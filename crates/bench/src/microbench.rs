@@ -361,9 +361,11 @@ fn fabric_benches(h: &mut Harness) {
 
 /// Fragment a 4 MB message the fabric's way (refcounted slice views)
 /// and the old way (one heap copy per fragment); the ratio is the
-/// zero-copy payoff in isolation.
+/// zero-copy payoff in isolation. Then seal and verify packets over one
+/// shared page: the per-frame integrity cost of a clean link.
 fn frag_benches(h: &mut Harness) {
-    use apenet_core::packet::fragments;
+    use apenet_core::coord::Coord;
+    use apenet_core::packet::{fragments, ApePacket, MsgId};
     use apenet_sim::bytes::PayloadSlice;
 
     let msg: Vec<u8> = (0..4 << 20).map(|i| (i % 251) as u8).collect();
@@ -392,6 +394,23 @@ fn frag_benches(h: &mut Harness) {
             cp.median_ns / zc.median_ns.max(1.0)
         );
     }
+    let page = whole.narrow(0, 4096);
+    h.bench("frame_seal_verify_4k_x1k", || {
+        let mut verified = 0u32;
+        for seq in 0..1024 {
+            let p = ApePacket::new(
+                Coord::new(1, 0, 0),
+                Coord::new(0, 0, 0),
+                MsgId { src_rank: 0, seq },
+                0x1000 + seq * 4096,
+                4 << 20,
+                page.clone(),
+            );
+            verified += u32::from(black_box(&p).verify());
+        }
+        assert_eq!(verified, 1024);
+        verified
+    });
 }
 
 fn app_benches(h: &mut Harness) {

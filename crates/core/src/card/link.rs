@@ -154,13 +154,13 @@ impl Card {
         if let Some(n) = self.cfg.tx_bit_error_every {
             let link = &mut self.link;
             link.tx_since_fault += 1;
-            if link.tx_since_fault >= n && !packet.payload.is_empty() {
+            if link.tx_since_fault >= n && !packet.is_empty() {
                 link.tx_since_fault = 0;
-                let idx = link.fault_rng.next_below(packet.payload.len() as u64) as usize;
+                let idx = link.fault_rng.next_below(packet.len()) as usize;
                 let mask = 1u8 << link.fault_rng.next_below(8);
                 // Copy-on-write: only this fragment is duplicated; the
                 // source buffer and sibling fragments stay shared.
-                packet.payload.make_mut()[idx] ^= mask;
+                packet.payload_mut()[idx] ^= mask;
             }
         }
         packet
@@ -261,9 +261,9 @@ impl Card {
                 dropped = true;
                 counters.injected_drops += 1;
             } else if let Some(c) = fate.corrupt {
-                if !wire.payload.is_empty() {
-                    let idx = (c.pos % wire.payload.len() as u64) as usize;
-                    wire.payload.make_mut()[idx] ^= c.mask;
+                if !wire.is_empty() {
+                    let idx = (c.pos % wire.len()) as usize;
+                    wire.payload_mut()[idx] ^= c.mask;
                     counters.injected_corrupt += 1;
                 }
             }

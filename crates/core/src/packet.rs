@@ -4,6 +4,17 @@
 //! the header, so when they land onto the destination card, the BUF_LIST is
 //! used to distinguish GPU from host buffers" (§IV.A). The RX datapath
 //! processes packets of up to 4 KB ("3 µs, 1.2 GB/s for 4 KB packets").
+//!
+//! Integrity is checked in two parts. The frame's `crc` covers the header
+//! only; the payload is sealed when the packet is built and checked
+//! against that seal ([`PayloadSlice::unchanged_since_seal`]). The real
+//! card computes link CRC in its transceiver logic, so a simulated CRC
+//! only matters once a byte changes after the seal: a clean frame hashes
+//! no payload byte at any hop. The payload is private, and every way to
+//! change it — [`ApePacket::payload_mut`], [`ApePacket::set_payload`] —
+//! keeps the seal-time reference, so a rewritten or swapped payload fails
+//! [`ApePacket::verify`] exactly when its bytes differ from the sealed
+//! ones.
 
 use crate::coord::Coord;
 use apenet_sim::bytes::PayloadSlice;
@@ -57,8 +68,11 @@ pub struct ApePacket {
     /// Total length of the whole message (for completion detection).
     pub msg_len: u64,
     /// The fragment data — a refcounted view into the source buffer, so
-    /// fragmentation and forwarding never copy payload bytes.
-    pub payload: PayloadSlice,
+    /// fragmentation and forwarding never copy payload bytes. Sealed at
+    /// construction; reached through [`Self::payload`],
+    /// [`Self::payload_mut`] and [`Self::set_payload`], which keep the
+    /// seal.
+    payload: PayloadSlice,
     /// Present on GET (remote-read) request packets: `dst_vaddr` then
     /// names the *responder-local* range to read, `msg_len` the length,
     /// and this header carries the requester-side landing address.
@@ -73,10 +87,9 @@ pub struct ApePacket {
     /// source once a marked message completes, carrying no payload and
     /// consuming no completion — the sender's pacer eats it.
     pub cnp: bool,
-    /// Frame checksum: CRC-32 over `payload || header`, set when the
+    /// Header checksum: CRC-32 over the header fields, set when the
     /// packet is built (or re-marked) and checked by [`ApePacket::verify`]
-    /// at every link RX. The payload part is the payload's memoized CRC,
-    /// so sealing and each hop's check hash only the header.
+    /// at every link RX, together with the payload's seal.
     pub crc: u32,
 }
 
@@ -170,12 +183,33 @@ impl ApePacket {
 
     /// Set the ECN congestion-experienced mark and re-seal the header
     /// (marking hops rewrite the CRC, like an IP router updating its
-    /// header checksum after setting CE).
+    /// header checksum after setting CE). The payload's seal is left
+    /// alone, so a re-mark can never launder a corrupted payload.
     pub fn mark_ecn(&mut self) {
         if !self.ecn {
             self.ecn = true;
-            self.seal();
+            self.crc = self.header_crc();
         }
+    }
+
+    /// The fragment data.
+    pub fn payload(&self) -> &PayloadSlice {
+        &self.payload
+    }
+
+    /// Write access to the payload bytes (copy-on-write). The seal-time
+    /// bytes stay the reference, so any net change fails [`Self::verify`].
+    pub fn payload_mut(&mut self) -> &mut [u8] {
+        self.payload.make_mut()
+    }
+
+    /// Replace the payload. The new bytes are checked against the
+    /// outgoing payload's seal, so a swapped-in payload verifies only if
+    /// its bytes hash to the sealed ones.
+    pub fn set_payload(&mut self, payload: impl Into<PayloadSlice>) {
+        let mut payload = payload.into();
+        payload.inherit_seal(&self.payload);
+        self.payload = payload;
     }
 
     /// Payload length in bytes.
@@ -193,19 +227,17 @@ impl ApePacket {
         APE_PACKET_OVERHEAD + self.len()
     }
 
-    /// Set `crc`, hashing the payload only if it carries no memo yet
-    /// (and memoizing it) — re-sealing a marked frame hashes the header.
+    /// Seal the payload (no hashing) and set the header `crc`.
     fn seal(&mut self) {
-        let payload_crc = self.payload.seal_crc();
-        self.crc = self.header_crc(payload_crc);
+        self.payload.seal();
+        self.crc = self.header_crc();
     }
 
-    /// CRC-32/ISO-HDLC over `payload || header`, resumed from the
-    /// payload's CRC — enough to catch the corruption the tests inject;
-    /// the real card uses link-level CRC blocks in the Stratix
-    /// transceivers.
-    fn header_crc(&self, payload_crc: u32) -> u32 {
-        let mut crc = Crc32::resume(payload_crc);
+    /// CRC-32/ISO-HDLC over the header fields — enough to catch the
+    /// corruption the tests inject; the real card uses link-level CRC
+    /// blocks in the Stratix transceivers.
+    fn header_crc(&self) -> u32 {
+        let mut crc = Crc32::new();
         crc.update(&[
             self.dst.x, self.dst.y, self.dst.z, self.src.x, self.src.y, self.src.z,
         ]);
@@ -229,12 +261,16 @@ impl ApePacket {
         crc.finish()
     }
 
-    /// Verify integrity. A payload still carrying its seal-time memo is
-    /// not re-hashed: only [`PayloadSlice::make_mut`] can change its
-    /// bytes, and that drops the memo, so corrupted bytes are always
-    /// hashed afresh.
+    /// Verify integrity: the header matches its CRC and the payload
+    /// hashes to its seal-time bytes. A payload never written since its
+    /// seal is not hashed at all.
+    ///
+    /// This catches exactly what a CRC over `payload || header` would:
+    /// for a fixed header, resuming a CRC over the header bytes is a
+    /// bijection of the payload CRC, so the combined CRC matches iff
+    /// the payload CRC does.
     pub fn verify(&self) -> bool {
-        self.crc == self.header_crc(self.payload.crc32())
+        self.crc == self.header_crc() && self.payload.unchanged_since_seal()
     }
 }
 
@@ -275,7 +311,7 @@ mod tests {
     #[test]
     fn corruption_detected() {
         let mut p = packet((0..100).collect());
-        p.payload.make_mut()[42] ^= 0x80;
+        p.payload_mut()[42] ^= 0x80;
         assert!(!p.verify());
         let mut q = packet((0..100).collect());
         q.dst_vaddr += 1;
@@ -400,30 +436,30 @@ mod tests {
 
             // Single-bit flip at a random position.
             let mut single = p.clone();
-            let idx = g.usize(0, single.payload.len());
-            single.payload.make_mut()[idx] ^= 1 << g.u32(0, 8);
+            let idx = g.usize(0, single.payload().len());
+            single.payload_mut()[idx] ^= 1 << g.u32(0, 8);
             assert!(!single.verify(), "single-bit flip at byte {idx}");
 
             // Multi-bit: 2–8 independent random flips.
             let mut multi = p.clone();
             for _ in 0..g.usize(2, 9) {
-                let i = g.usize(0, multi.payload.len());
-                multi.payload.make_mut()[i] ^= (g.byte() | 1).rotate_left(g.u32(0, 8));
+                let i = g.usize(0, multi.payload().len());
+                multi.payload_mut()[i] ^= (g.byte() | 1).rotate_left(g.u32(0, 8));
             }
             // Flips can cancel pairwise; force at least one net change.
-            if multi.payload.as_slice() == p.payload.as_slice() {
-                multi.payload.make_mut()[0] ^= 0xFF;
+            if multi.payload() == p.payload() {
+                multi.payload_mut()[0] ^= 0xFF;
             }
             assert!(!multi.verify(), "multi-bit flips");
 
             // Burst: 1–4 contiguous bytes overwritten.
             let mut burst = p.clone();
-            let n = g.usize(1, 5.min(burst.payload.len() + 1));
-            let start = g.usize(0, burst.payload.len() - n + 1);
+            let n = g.usize(1, 5.min(burst.payload().len() + 1));
+            let start = g.usize(0, burst.payload().len() - n + 1);
             let mut changed = false;
             for i in start..start + n {
                 let b = g.byte();
-                let s = burst.payload.make_mut();
+                let s = burst.payload_mut();
                 changed |= s[i] != b;
                 s[i] = b;
             }
@@ -432,22 +468,18 @@ mod tests {
             }
 
             // Truncation: drop trailing bytes (header msg_len unchanged).
-            if p.payload.len() > 1 {
-                let keep = g.usize(1, p.payload.len());
-                let trunc = ApePacket {
-                    payload: Vec::from(&p.payload.as_slice()[..keep]).into(),
-                    ..p.clone()
-                };
+            if p.payload().len() > 1 {
+                let keep = g.usize(1, p.payload().len());
+                let mut trunc = p.clone();
+                trunc.set_payload(p.payload().narrow(0, keep));
                 assert!(!trunc.verify(), "truncated to {keep} bytes");
             }
 
             // Extension: append garbage.
-            let mut extended = Vec::from(p.payload.as_slice());
+            let mut extended = p.payload().to_vec();
             extended.extend(g.bytes(1, 32));
-            let ext = ApePacket {
-                payload: extended.into(),
-                ..p.clone()
-            };
+            let mut ext = p.clone();
+            ext.set_payload(extended);
             assert!(!ext.verify(), "extended payload");
 
             // Header corruption: each addressed field in turn.
@@ -467,30 +499,30 @@ mod tests {
             cn.cnp = !cn.cnp;
             assert!(!cn.verify(), "cnp flip");
 
-            // A clone carries the seal-time payload memo; corrupting it
-            // after sealing (copy-on-write) must still be caught, as must
-            // an in-place write to a sole-owner payload.
-            let mut memo = p.clone();
-            let i = g.usize(0, memo.payload.len());
-            memo.payload.make_mut()[i] ^= 1 << g.u32(0, 8);
-            assert!(!memo.verify(), "corrupted memo-carrying clone");
-            let mut own = packet(p.payload.to_vec());
-            own.payload.make_mut()[i] ^= 1 << g.u32(0, 8);
+            // A clone shares the sealed payload; corrupting it after
+            // sealing (copy-on-write) must still be caught, as must an
+            // in-place write to a sole-owner payload.
+            let mut shared = p.clone();
+            let i = g.usize(0, shared.payload().len());
+            shared.payload_mut()[i] ^= 1 << g.u32(0, 8);
+            assert!(!shared.verify(), "corrupted clone of a sealed payload");
+            let mut own = packet(p.payload().to_vec());
+            own.payload_mut()[i] ^= 1 << g.u32(0, 8);
             assert!(!own.verify(), "in-place corruption of a sealed payload");
 
             // Swapping in another sealed packet's payload (same length,
-            // different bytes, its own valid memo) is caught.
-            let mut other = g.bytes(p.payload.len(), p.payload.len());
-            if other == p.payload.as_slice() {
+            // different bytes, sealed and clean itself) is caught.
+            let mut other = g.bytes(p.payload().len(), p.payload().len());
+            if other == p.payload().as_slice() {
                 other[0] ^= 0xFF;
             }
             let mut swapped = p.clone();
-            swapped.payload = packet(other).payload;
+            swapped.set_payload(packet(other).payload().clone());
             assert!(!swapped.verify(), "swapped sealed payload");
 
-            // An ECN-marking hop re-seals the header onto the memoized
-            // payload CRC: the marked frame verifies, and neither the
-            // re-seal nor the check hashes a payload byte.
+            // An ECN-marking hop re-seals only the header: the marked
+            // frame verifies, and neither the re-seal nor the check
+            // hashes a payload byte …
             assert!(
                 hashes_no_payload(|| {
                     let mut marked = p.clone();
@@ -498,6 +530,13 @@ mod tests {
                     assert!(marked.ecn && marked.verify(), "marked frame verifies");
                 }),
                 "mark_ecn re-hashed the payload"
+            );
+            // … and re-marking a corrupted frame cannot launder it.
+            let mut laundered = shared.clone();
+            laundered.mark_ecn();
+            assert!(
+                !laundered.verify(),
+                "mark_ecn laundered a corrupted payload"
             );
         });
     }

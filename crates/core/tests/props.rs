@@ -80,8 +80,8 @@ fn crc_catches_bit_flips() {
             payload,
         );
         assert!(p.verify());
-        let bit = (flip as usize) % (p.payload.len() * 8);
-        p.payload.make_mut()[bit / 8] ^= 1 << (bit % 8);
+        let bit = (flip as usize) % (p.payload().len() * 8);
+        p.payload_mut()[bit / 8] ^= 1 << (bit % 8);
         assert!(!p.verify(), "undetected bit flip at {bit}");
     });
 }

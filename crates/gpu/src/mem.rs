@@ -190,8 +190,10 @@ impl Memory {
         Ok(())
     }
 
-    /// Read into `out` from UVA `addr`.
-    pub fn read(&mut self, addr: u64, out: &mut [u8]) -> Result<(), MemError> {
+    /// Read into `out` from UVA `addr`. Reads share pages: one still
+    /// aliased by an in-flight [`PayloadSlice`] is not copied, and one
+    /// never written reads as zeros without being materialized.
+    pub fn read(&self, addr: u64, out: &mut [u8]) -> Result<(), MemError> {
         if !self.contains(addr, out.len() as u64) {
             return Err(MemError::OutOfRange);
         }
@@ -201,8 +203,11 @@ impl Memory {
             let in_page = (off % self.page_size) as usize;
             let room = self.page_size as usize - in_page;
             let n = room.min(dst.len());
-            let page = self.page_of(off);
-            dst[..n].copy_from_slice(&page[in_page..in_page + n]);
+            let idx = (off / self.page_size) as usize;
+            match self.pages.get(idx).and_then(Option::as_ref) {
+                Some(page) => dst[..n].copy_from_slice(&page[in_page..in_page + n]),
+                None => dst[..n].fill(0),
+            }
             dst = &mut dst[n..];
             off += n as u64;
         }
@@ -210,7 +215,7 @@ impl Memory {
     }
 
     /// Read `len` bytes into a fresh vector.
-    pub fn read_vec(&mut self, addr: u64, len: u64) -> Result<Vec<u8>, MemError> {
+    pub fn read_vec(&self, addr: u64, len: u64) -> Result<Vec<u8>, MemError> {
         let mut v = vec![0u8; len as usize];
         self.read(addr, &mut v)?;
         Ok(v)
@@ -365,6 +370,31 @@ mod tests {
         m.write(a, &[9, 9, 9, 9]).unwrap();
         assert_eq!(p.as_slice(), &[1, 2, 3, 4], "in-flight payload is stable");
         assert_eq!(m.read_vec(a, 4).unwrap(), vec![9, 9, 9, 9]);
+    }
+
+    #[test]
+    fn read_of_shared_page_copies_nothing() {
+        let mut m = mem();
+        let a = m.alloc(64 * 1024).unwrap();
+        m.write(a, &[1, 2, 3, 4]).unwrap();
+        // The copy counter is process-wide and other tests copy
+        // concurrently, so a few attempts are allowed; a read that
+        // copies-on-write an aliased page fails every one of them.
+        let copies_nothing = (0..8).any(|_| {
+            let p = m.read_payload(a, 4).unwrap();
+            let before = bytes::copied_bytes();
+            assert_eq!(m.read_vec(a, 4).unwrap(), vec![1, 2, 3, 4]);
+            let copied = bytes::copied_bytes() - before;
+            assert_eq!(
+                p.as_slice(),
+                &[1, 2, 3, 4],
+                "the alias still sees its bytes"
+            );
+            let page = m.pages[0].as_ref().unwrap();
+            assert_eq!(Arc::strong_count(page), 2, "page and alias still share");
+            copied == 0
+        });
+        assert!(copies_nothing, "reading an aliased page copied it");
     }
 
     #[test]

@@ -7,18 +7,22 @@
 //! replaces it: an `Arc`-backed buffer plus a byte range, so
 //!
 //! * fragmentation is a refcount bump + range narrowing,
-//! * CRC and RX delivery read the borrowed slice in place,
+//! * integrity checks and RX delivery read the borrowed slice in place,
 //! * mutation (fault injection, writes to a shared memory page) is
 //!   copy-on-write of only the aliased bytes.
 //!
-//! A slice also memoizes its CRC-32 once sealed ([`PayloadSlice::seal_crc`]),
-//! so a packet's payload is hashed once however many hops verify it.
-//! [`PayloadSlice::make_mut`] is the only way to change the viewed bytes,
-//! and it always drops the memo: corrupted bytes are always re-hashed.
+//! A slice can be sealed ([`PayloadSlice::seal`]) without hashing
+//! anything. [`PayloadSlice::make_mut`] is the only way to change the
+//! viewed bytes, so a sealed slice that was never made mutable still
+//! holds its seal-time bytes. Only the first `make_mut` after a seal
+//! hashes: it records the CRC-32 of the bytes *before* the write, and
+//! [`PayloadSlice::unchanged_since_seal`] then compares the current
+//! bytes against it. A clean datapath therefore hashes no payload byte,
+//! and a rewritten payload pays one pass at the write and one per check.
 //!
 //! The module keeps global [`copied_bytes`] and [`hashed_bytes`] counters
 //! so tests can assert that a clean datapath really performs zero payload
-//! copies and one CRC pass per payload.
+//! copies and zero CRC passes.
 
 use crate::crc::Crc32;
 use std::ops::Deref;
@@ -49,18 +53,29 @@ pub fn hashed_bytes() -> u64 {
     HASHED_BYTES.load(Ordering::Relaxed)
 }
 
+/// Where a slice stands against its seal.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Seal {
+    /// Never sealed: fresh from a constructor or [`PayloadSlice::narrow`].
+    Open,
+    /// Sealed and never made mutable since: the bytes are the seal-time
+    /// bytes.
+    Clean,
+    /// Sealed, then made mutable: the CRC-32 of the bytes at the seal.
+    Dirty(u32),
+}
+
 /// An immutable, cheaply clonable view of a byte range inside a shared
 /// buffer. Cloning and narrowing never copy; [`PayloadSlice::make_mut`]
 /// copies only when the bytes are actually shared.
 ///
-/// Clones keep the CRC memo; equality ignores it.
+/// Clones keep the seal state; equality ignores it.
 #[derive(Clone)]
 pub struct PayloadSlice {
     buf: Arc<[u8]>,
     start: usize,
     len: usize,
-    /// CRC-32 of the viewed bytes, filled only by [`Self::seal_crc`].
-    crc: Option<u32>,
+    seal: Seal,
 }
 
 impl PayloadSlice {
@@ -72,7 +87,7 @@ impl PayloadSlice {
             buf,
             start: 0,
             len: 0,
-            crc: None,
+            seal: Seal::Open,
         }
     }
 
@@ -83,7 +98,7 @@ impl PayloadSlice {
             buf: v.into(),
             start: 0,
             len,
-            crc: None,
+            seal: Seal::Open,
         }
     }
 
@@ -94,7 +109,7 @@ impl PayloadSlice {
             buf,
             start: 0,
             len,
-            crc: None,
+            seal: Seal::Open,
         }
     }
 
@@ -111,7 +126,7 @@ impl PayloadSlice {
             buf: self.buf.clone(),
             start: self.start + offset,
             len,
-            crc: None,
+            seal: Seal::Open,
         }
     }
 
@@ -136,18 +151,33 @@ impl PayloadSlice {
         self.start == 0 && self.len == self.buf.len() && Arc::strong_count(&self.buf) == 1
     }
 
-    /// CRC-32 of the viewed bytes: the memo when sealed, else a fresh
-    /// pass that is not stored.
-    pub fn crc32(&self) -> u32 {
-        self.crc.unwrap_or_else(|| self.hash())
+    /// Take the current bytes as the reference that
+    /// [`Self::unchanged_since_seal`] checks against. Hashes nothing.
+    pub fn seal(&mut self) {
+        self.seal = Seal::Clean;
     }
 
-    /// CRC-32 of the viewed bytes, computed at most once and memoized
-    /// until the next [`Self::make_mut`].
-    pub fn seal_crc(&mut self) -> u32 {
-        match self.crc {
-            Some(crc) => crc,
-            None => *self.crc.insert(self.hash()),
+    /// Take over `from`'s seal: from now on this slice counts as
+    /// unchanged only while its bytes hash to what `from`'s bytes did
+    /// when `from` was sealed. Hashes `from` once if it is still clean;
+    /// an unsealed `from` leaves this slice unsealed.
+    pub fn inherit_seal(&mut self, from: &PayloadSlice) {
+        self.seal = match from.seal {
+            Seal::Open => Seal::Open,
+            Seal::Clean => Seal::Dirty(from.hash()),
+            Seal::Dirty(crc) => Seal::Dirty(crc),
+        };
+    }
+
+    /// True when the bytes hash to what they did at the seal. Free on a
+    /// slice never made mutable since its seal; otherwise one CRC-32
+    /// pass over the current bytes. An unsealed slice has nothing to
+    /// match and returns false.
+    pub fn unchanged_since_seal(&self) -> bool {
+        match self.seal {
+            Seal::Open => false,
+            Seal::Clean => true,
+            Seal::Dirty(crc) => self.hash() == crc,
         }
     }
 
@@ -158,9 +188,13 @@ impl PayloadSlice {
 
     /// Mutable access, copy-on-write: when the backing buffer is shared
     /// (or only partially viewed), the viewed range — and nothing more —
-    /// is copied into a fresh buffer first. Always drops the CRC memo.
+    /// is copied into a fresh buffer first. The first call after a seal
+    /// hashes the bytes before they can change, so the seal survives
+    /// the write.
     pub fn make_mut(&mut self) -> &mut [u8] {
-        self.crc = None;
+        if self.seal == Seal::Clean {
+            self.seal = Seal::Dirty(self.hash());
+        }
         if !self.is_unique() {
             note_copy(self.len as u64);
             let owned: Arc<[u8]> = Arc::from(self.as_slice());
@@ -271,6 +305,13 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn narrow_out_of_range_panics() {
         PayloadSlice::from_vec(vec![0; 8]).narrow(4, 8);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn seal_state_fits_where_the_memo_was() {
+        // Arc<[u8]> (16) + start (8) + len (8) + seal state (8).
+        assert_eq!(std::mem::size_of::<PayloadSlice>(), 40);
     }
 
     #[test]

@@ -1,17 +1,23 @@
 //! A small, dependency-free CRC-32 (polynomial 0xEDB88320).
 //!
 //! Table-driven "slice-by-8": 8 compile-time tables let the loop consume
-//! 8 bytes per iteration with no per-bit work. Payloads up to 4 KiB are
-//! hashed once when a packet is sealed (the result is memoized on the
-//! [`PayloadSlice`](crate::bytes::PayloadSlice)); each hop's verify then
-//! resumes from that value over the ~40-byte header only. Output is
-//! identical to the bitwise definition (the reference check value
+//! 8 bytes per iteration with no per-bit work. A clean packet hashes only
+//! its ~40-byte header; a payload of up to 4 KiB is hashed only once a
+//! byte of it is written after its seal (see
+//! [`PayloadSlice`](crate::bytes::PayloadSlice)). Output is identical to
+//! the bitwise definition (the reference check value
 //! CRC32("123456789") = 0xCBF43926 is pinned in tests).
 
 /// A running CRC-32/ISO-HDLC computation.
 #[derive(Debug, Clone)]
 pub struct Crc32 {
     state: u32,
+}
+
+impl Default for Crc32 {
+    fn default() -> Self {
+        Crc32::new()
+    }
 }
 
 /// `TABLES[0]` is the classic per-byte CRC table; `TABLES[k][b]` extends
@@ -46,17 +52,14 @@ const fn build_crc32_tables() -> [[u32; 256]; 8] {
 }
 
 impl Crc32 {
-    /// Continue a computation whose bytes so far have CRC `crc`:
-    /// `Crc32::resume(crc32(a))` then `update(b)` finishes to
-    /// `crc32(a || b)`. The CRC of no bytes is 0, so `resume(0)` starts
-    /// afresh.
-    pub fn resume(crc: u32) -> Self {
-        Crc32 { state: !crc }
+    /// A computation over no bytes yet.
+    pub fn new() -> Self {
+        Crc32 { state: !0 }
     }
 
     /// The CRC of `data` alone.
     pub fn of(data: &[u8]) -> u32 {
-        let mut c = Crc32::resume(0);
+        let mut c = Crc32::new();
         c.update(data);
         c.finish()
     }
@@ -102,11 +105,12 @@ mod tests {
     }
 
     #[test]
-    fn resume_equals_one_pass() {
+    fn piecewise_update_equals_one_pass() {
         let data: Vec<u8> = (0..=255u8).cycle().take(1000).collect();
         for split in [0, 1, 7, 8, 9, 500, 999, 1000] {
             let (a, b) = data.split_at(split);
-            let mut c = Crc32::resume(Crc32::of(a));
+            let mut c = Crc32::new();
+            c.update(a);
             c.update(b);
             assert_eq!(c.finish(), Crc32::of(&data), "split at {split}");
         }

@@ -19,8 +19,9 @@
 //! * a byte-accounted bounded **FIFO** with almost-full watermarks
 //!   ([`fifo::ByteFifo`]) — the building block of the APEnet+ flow control;
 //! * lightweight **tracing** ([`trace`]) used by the PCIe bus-analyzer model;
-//! * a slice-by-8 **CRC-32** ([`crc::Crc32`]) that [`bytes::PayloadSlice`]
-//!   memoizes, so the packet CRC hashes each payload once.
+//! * a slice-by-8 **CRC-32** ([`crc::Crc32`]) that a sealed
+//!   [`bytes::PayloadSlice`] runs only once written after its seal, so a
+//!   clean packet's checks hash only its header.
 //! * strict **env** grammars ([`env::EnvError`], [`env::env_var`]) shared
 //!   by every `APENET_*` reader in the workspace.
 //!

@@ -40,6 +40,14 @@ echo "==> G-G P2P vs staged bandwidth (fig07, the per-byte datapath, matches com
 cargo run --release --offline -q -p apenet-bench --bin fig07
 git diff --exit-code -- results/fig07.txt
 
+echo "==> fig06, chaos sweep, degraded route (clean and corrupted payload paths, match committed)"
+# chaos_sweep drives the copy-on-write corruption path: each damaged
+# frame is the only payload the integrity check ever hashes.
+cargo run --release --offline -q -p apenet-bench --bin fig06
+cargo run --release --offline -q -p apenet-bench --bin chaos-sweep
+cargo run --release --offline -q -p apenet-bench --bin degraded-route
+git diff --exit-code -- results/fig06.txt results/chaos_sweep.txt results/degraded_route.txt
+
 echo "==> BFS strong scaling (table4, fig12: one cached graph per configuration, match committed)"
 cargo run --release --offline -q -p apenet-bench --bin table4
 cargo run --release --offline -q -p apenet-bench --bin fig12
