@@ -492,12 +492,13 @@ fn tail_benches(h: &mut Harness) {
 }
 
 /// The overload plane's full loop under fire: an 8→1 incast with ECN
-/// marking, AIMD windows and admission control all active. Wall time
-/// tracks the plane's host-side cost (pacer bookkeeping, echo routing,
-/// backed-off wakes); the annotated scalar is the storm's *simulated*
-/// completion time — deterministic, and one-sided in the gate, so a
-/// congestion-control regression that merely slows the drain (without
-/// breaking any property test) still fails CI.
+/// marking, AIMD windows and admission control all active, then the
+/// unprotected collapse. Wall time tracks the plane's host-side cost
+/// (pacer bookkeeping, echo routing, backed-off wakes); the annotated
+/// scalar is the storm's *simulated* completion time — deterministic,
+/// and one-sided in the gate, so a congestion-control regression that
+/// merely slows the drain (without breaking any property test) still
+/// fails CI.
 fn overload_benches(h: &mut Harness) {
     use apenet_cluster::harness::{incast_run, IncastParams, IncastVerb};
     use apenet_cluster::presets::{cluster_i_incast, incast_dims};
@@ -522,6 +523,33 @@ fn overload_benches(h: &mut Harness) {
         r.cwnd_decreases
     });
     h.annotate_p99("incast_8to1_cwnd", drain_ps);
+
+    // The same storm with the plane off: queueing crosses the 1 ms
+    // watchdog, re-issues pile GPU jobs up behind every sender's
+    // GPU_P2P_TX engine and goodput collapses. Wall time tracks the
+    // card's per-event cost under that backlog (each TX drain walks only
+    // the jobs that can issue reads); the annotated scalar is the
+    // storm's simulated end time.
+    let mut end_ps = 0u64;
+    h.bench("incast_collapse_8to1", || {
+        let r = incast_run(
+            incast_dims(),
+            cluster_i_incast(false),
+            IncastParams {
+                senders: 8,
+                msgs_per_sender: 64,
+                msg_len: 32 * 1024,
+                offered: 4,
+                verb: IncastVerb::Put,
+                pacer: None,
+            },
+        );
+        assert_eq!(r.delivered, r.expected);
+        assert!(r.watchdog_reissues > 0, "the re-issue backlog formed");
+        end_ps = r.end.since(apenet_sim::SimTime::ZERO).as_ps();
+        r.watchdog_reissues
+    });
+    h.annotate_p99("incast_collapse_8to1", end_ps);
 }
 
 /// The SLO plane riding a paced 8→1 storm end to end: trace capture,

@@ -977,6 +977,13 @@ fn chaos_byte(src_rank: u32, off: u64) -> u8 {
         ^ 0x5A
 }
 
+/// `len` bytes of `src_rank`'s stream from byte offset `off`: what a
+/// region or a delivered slot must hold, built once so a check is one
+/// slice comparison.
+fn chaos_bytes(src_rank: u32, off: u64, len: u64) -> Vec<u8> {
+    (off..off + len).map(|o| chaos_byte(src_rank, o)).collect()
+}
+
 impl HostProgram for ChaosRank {
     fn start(&mut self, node: &mut NodeCtx, api: &mut HostApi<'_, '_>) {
         let region = (self.msgs as u64 * self.msg_len).max(1);
@@ -987,7 +994,7 @@ impl HostProgram for ChaosRank {
         let tx_buf = node.cuda[0].borrow_mut().malloc(region).unwrap();
         node.ep.register(rx_buf, region).unwrap();
         node.ep.register(tx_buf, region).unwrap();
-        let data: Vec<u8> = (0..region).map(|o| chaos_byte(self.rank, o)).collect();
+        let data = chaos_bytes(self.rank, 0, region);
         node.cuda[0].borrow_mut().mem.write(tx_buf, &data).unwrap();
         for i in 0..self.msgs {
             let (off, len, peer) = (i as u64 * self.msg_len, self.msg_len, self.peer);
@@ -1227,11 +1234,7 @@ fn chaos_impl(
                     .mem
                     .read_vec(rx_buf + off, p.msg_len)
                     .unwrap();
-                let ok = got
-                    .iter()
-                    .enumerate()
-                    .all(|(j, &b)| b == chaos_byte(src as u32, off + j as u64));
-                payload_ok &= ok;
+                payload_ok &= got == chaos_bytes(src as u32, off, p.msg_len);
             }
         }
     }
@@ -1548,7 +1551,7 @@ impl HostProgram for IncastSender {
             IncastVerb::Put => {
                 // This rank's stream lives in buffer B; fill and map it.
                 node.ep.register(self.tx_buf, region_b).unwrap();
-                let data: Vec<u8> = (0..region_b).map(|o| chaos_byte(self.rank, o)).collect();
+                let data = chaos_bytes(self.rank, 0, region_b);
                 node.cuda[0]
                     .borrow_mut()
                     .mem
@@ -1611,7 +1614,7 @@ impl HostProgram for IncastTarget {
             }
             IncastVerb::Get => {
                 node.ep.register(tx, region_b).unwrap();
-                let data: Vec<u8> = (0..region_b).map(|o| chaos_byte(0, o)).collect();
+                let data = chaos_bytes(0, 0, region_b);
                 node.cuda[0].borrow_mut().mem.write(tx, &data).unwrap();
             }
         }
@@ -1762,10 +1765,7 @@ pub fn incast_run_with(
                 let src_off = d.dst_vaddr - rx;
                 let i = (src_off / p.msg_len) % p.msgs_per_sender as u64;
                 let tx_off = i * p.msg_len;
-                payload_ok &= got
-                    .iter()
-                    .enumerate()
-                    .all(|(j, &b)| b == chaos_byte(m.src_rank, tx_off + j as u64));
+                payload_ok &= got == chaos_bytes(m.src_rank, tx_off, d.len);
             }
         }
         IncastVerb::Get => {
@@ -1786,10 +1786,7 @@ pub fn incast_run_with(
                     .mem
                     .read_vec(g.local_vaddr, g.len)
                     .unwrap();
-                payload_ok &= got
-                    .iter()
-                    .enumerate()
-                    .all(|(j, &b)| b == chaos_byte(0, off + j as u64));
+                payload_ok &= got == chaos_bytes(0, off, g.len);
             }
         }
     }
@@ -2005,4 +2002,32 @@ pub fn get_stream_bandwidth(node_cfg: NodeConfig, p: GetStreamParams) -> BwResul
     cluster.run();
     let r = records.borrow();
     measure(&r, p.size)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn chaos_bytes_is_the_per_byte_stream() {
+        // Offsets and lengths straddle the stream's 256-byte wrap.
+        for rank in [0, 1, 7, 200, u32::MAX] {
+            for (off, len) in [
+                (0, 0),
+                (0, 1),
+                (0, 256),
+                (250, 20),
+                (255, 2),
+                (4096, 1000),
+                (511, 777),
+            ] {
+                let got = chaos_bytes(rank, off, len);
+                assert_eq!(got.len() as u64, len);
+                for (j, &b) in got.iter().enumerate() {
+                    let o = off + j as u64;
+                    assert_eq!(b, chaos_byte(rank, o), "rank {rank} offset {o}");
+                }
+            }
+        }
+    }
 }

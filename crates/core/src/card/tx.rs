@@ -11,7 +11,8 @@ use apenet_pcie::tlp::TlpKind;
 use apenet_sim::bytes::PayloadSlice;
 use apenet_sim::trace::{kind as tk, TracePayload};
 use apenet_sim::{ByteFifo, Outbox, SimDuration, SimTime};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::ops::Bound;
 
 /// Sentinel TX-job id for header-only frames that belong to no fetch job
 /// — GET request headers and congestion-notification (CNP) echoes. They
@@ -42,6 +43,11 @@ pub(super) struct TxStage {
     /// engine; this queue holds the waiting ones.
     gpu_job_queue: VecDeque<u32>,
     gpu_job_active: Option<u32>,
+    /// The jobs that may issue a source read now, in id order: every
+    /// host-source job with bytes left to request, and the GPU_P2P_TX
+    /// engine's holder while it has bytes left. For any other open job
+    /// `issue_fetches` would do nothing, so the drain walks only these.
+    issuing: BTreeSet<u32>,
     fifo: ByteFifo<ApePacket>,
     /// Packets that found the FIFO full, stand-in for the header-FIFO
     /// elasticity of the real datapath.
@@ -61,6 +67,7 @@ impl TxStage {
             next_job: 0,
             gpu_job_queue: VecDeque::new(),
             gpu_job_active: None,
+            issuing: BTreeSet::new(),
             fifo: ByteFifo::with_default_watermark(cfg.tx_fifo_bytes),
             push_wait: VecDeque::new(),
             staged_pending: 0,
@@ -92,6 +99,20 @@ impl TxStage {
     /// FIFO elasticity of the real datapath.)
     fn issue_budget(&self) -> u64 {
         self.fifo.free().saturating_sub(self.outstanding_total)
+    }
+
+    /// The jobs a walk over every open job would find issuable: bytes
+    /// left to request, and a host source or the engine. `issuing` must
+    /// always equal this set.
+    fn issuable_by_full_walk(&self) -> BTreeSet<u32> {
+        self.jobs
+            .iter()
+            .filter(|(&id, j)| {
+                j.plan.requested < j.plan.total
+                    && (j.desc.src_kind == BufKind::Host || self.gpu_job_active == Some(id))
+            })
+            .map(|(&id, _)| id)
+            .collect()
     }
 }
 
@@ -151,6 +172,7 @@ impl Card {
             // Header-only message: stage one empty packet.
             kick_fetch(job_id, SimDuration::ZERO, out);
         } else {
+            self.tx.issuing.insert(job_id);
             self.issue_fetches(job_id, now, out);
         }
     }
@@ -209,8 +231,8 @@ impl Card {
     }
 
     /// The TX FIFO head finished serializing: refill the FIFO from the
-    /// elasticity queue, drain the next packet and let every job issue
-    /// reads into the freed space.
+    /// elasticity queue, drain the next packet and let every job that
+    /// can issue reads do so into the freed space.
     pub(super) fn drain_next(&mut self, now: SimTime, out: &mut Outbox<CardOut>) {
         self.tx.draining = false;
         while let Some((job_id, packet)) = self.tx.push_wait.pop_front() {
@@ -222,11 +244,19 @@ impl Card {
             }
         }
         self.kick_drain(now, out);
+        debug_assert_eq!(self.tx.issuing, self.tx.issuable_by_full_walk());
         // In job-id order: the fetch-issue order below contends for the
-        // PCIe fabric.
-        let jobs: Vec<u32> = self.tx.jobs.keys().copied().collect();
-        for j in jobs {
+        // PCIe fabric. `issue_fetches` can only remove the job it serves
+        // from `issuing`, so each step looks up the next id past it.
+        let mut next = self.tx.issuing.first().copied();
+        while let Some(j) = next {
             self.issue_fetches(j, now, out);
+            next = self
+                .tx
+                .issuing
+                .range((Bound::Excluded(j), Bound::Unbounded))
+                .next()
+                .copied();
         }
     }
 
@@ -238,6 +268,9 @@ impl Card {
             return;
         };
         self.tx.gpu_job_active = Some(job_id);
+        if self.tx.jobs[&job_id].desc.len > 0 {
+            self.tx.issuing.insert(job_id);
+        }
         let (_s, e) = self.nios.run(now, self.cfg.tx_gpu_setup());
         let ready = e + self.cfg.tx_gpu_hw_setup();
         kick_fetch(job_id, ready.since(now), out);
@@ -245,14 +278,9 @@ impl Card {
 
     /// Issue as many source reads as the engine generation allows.
     fn issue_fetches(&mut self, job_id: u32, now: SimTime, out: &mut Outbox<CardOut>) {
-        // GPU jobs may only fetch while they hold the engine.
-        if self
-            .tx
-            .jobs
-            .get(&job_id)
-            .is_some_and(|j| matches!(j.desc.src_kind, BufKind::Gpu(_)))
-            && self.tx.gpu_job_active != Some(job_id)
-        {
+        // GPU jobs may only fetch while they hold the engine, and no job
+        // has a read to issue once every byte is requested.
+        if !self.tx.issuing.contains(&job_id) {
             return;
         }
         loop {
@@ -324,6 +352,9 @@ impl Card {
             fabric.set_span(None);
             let arrive = st.arrive.max(cpl.last);
             job.plan.issued(n);
+            if job.plan.requested == job.plan.total {
+                self.tx.issuing.remove(&job_id);
+            }
             self.tx.outstanding_total += n;
             out.push(
                 arrive.since(now),

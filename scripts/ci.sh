@@ -48,6 +48,15 @@ cargo run --release --offline -q -p apenet-bench --bin chaos-sweep
 cargo run --release --offline -q -p apenet-bench --bin degraded-route
 git diff --exit-code -- results/fig06.txt results/chaos_sweep.txt results/degraded_route.txt
 
+echo "==> fig05, bidir, BAR1 ablation (TX fetch planning, concurrent TX and RX, BAR1 reads; match committed)"
+# v1/v2/v3 fetch planning on the loop-back path, TX and RX sharing one
+# card, and reads through the BAR1 aperture: every way a TX job issues
+# source reads.
+cargo run --release --offline -q -p apenet-bench --bin fig05
+cargo run --release --offline -q -p apenet-bench --bin bidir
+cargo run --release --offline -q -p apenet-bench --bin bar1-ablation
+git diff --exit-code -- results/fig05.txt results/bidir.txt results/bar1_ablation.txt
+
 echo "==> BFS strong scaling (table4, fig12: one cached graph per configuration, match committed)"
 cargo run --release --offline -q -p apenet-bench --bin table4
 cargo run --release --offline -q -p apenet-bench --bin fig12

@@ -1,20 +1,27 @@
 //! Tier-1 guard for the card's datapath stages (TX staging, go-back-N
-//! link layer, RX delivery, routing): three small seeded runs whose
-//! every counter and timestamp is pinned to the values the simulator
-//! produced before the card was split into stage modules. A change to
-//! any stage's scheduling, counting or recovery shows up here as an
-//! exact mismatch.
+//! link layer, RX delivery, routing): four small deterministic runs
+//! whose counters and timestamps are pinned to the values the simulator
+//! produced before the card was split into stage modules (the first
+//! three) and before the TX drain walked only the jobs that can issue
+//! reads (the incast). A change to any stage's scheduling, counting or
+//! recovery shows up here as an exact mismatch.
 //!
 //! * a 4×2 chaos ring with go-back-N replay under corruption, drops and
 //!   stalls (`link`, `tx`, `rx`),
 //! * the 2×1×1 kill-switch run: link retransmission off, so corrupted
 //!   frames are CRC-dropped and their messages never complete,
-//! * a clean two-node GPU-to-GPU stream (golden timing).
+//! * a clean two-node GPU-to-GPU stream (golden timing),
+//! * an 8-to-1 PUT incast at 4× offered load with the overload plane
+//!   off: watchdog re-issues pile GPU jobs up behind each sender's
+//!   GPU_P2P_TX engine, the backlog the TX drain must skip exactly.
 
 use apenet::cluster::harness::{
-    chaos_run_with, two_node_with, BufSide, ChaosParams, ChaosReport, TwoNodeParams,
+    chaos_run_with, incast_run, two_node_with, BufSide, ChaosParams, ChaosReport, IncastParams,
+    IncastVerb, TwoNodeParams,
 };
-use apenet::cluster::presets::{cluster_i_chaos, cluster_i_chaos_no_retrans, cluster_i_default};
+use apenet::cluster::presets::{
+    cluster_i_chaos, cluster_i_chaos_no_retrans, cluster_i_default, cluster_i_incast, incast_dims,
+};
 use apenet::cluster::Planes;
 use apenet::nic::coord::TorusDims;
 use apenet::sim::fault::FaultSpec;
@@ -149,4 +156,29 @@ fn clean_gg_stream_keeps_golden_timing() {
     // The profiler spans the whole run and counts every event dispatched.
     assert_eq!(profile.span_ps, 361_275_096);
     assert_eq!(profile.total_events(), 338);
+}
+
+#[test]
+fn incast_reissue_backlog_replays_exactly_as_recorded() {
+    let r = incast_run(
+        incast_dims(),
+        cluster_i_incast(false),
+        IncastParams {
+            senders: 8,
+            msgs_per_sender: 32,
+            msg_len: 32 << 10,
+            offered: 4,
+            verb: IncastVerb::Put,
+            pacer: None,
+        },
+    );
+    // The backlog really forms: the watchdog re-issues queued messages.
+    assert!(r.watchdog_reissues > 0);
+    assert!(r.payload_ok && r.quiesced);
+    assert_eq!((r.delivered, r.expected), (256, 256));
+    assert_eq!(r.watchdog_reissues, 820);
+    assert_eq!(r.watchdog_fired, 870);
+    assert_eq!(r.last_delivery.as_ps(), 18_179_885_667);
+    assert_eq!(r.end.as_ps(), 35_540_499_667);
+    assert_eq!(r.duplicates, 0);
 }
