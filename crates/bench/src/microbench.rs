@@ -281,6 +281,21 @@ fn fabric_benches(h: &mut Harness) {
             .send_stream(SimTime::ZERO, gpu, nic, TlpKind::MemWrite, 64 * 1024, 256)
             .arrive
     });
+    // The PCIe cost of the datapath per 4 KiB fragment: the TX read
+    // request to the GPU, the completion stream back to the card, and
+    // the RX write stream into the destination GPU. One fabric persists
+    // across samples, so hop plans are warm and occupancy carries over.
+    let (mut fabric, gpu, nic, _) = plx_platform();
+    let mut now = SimTime::ZERO;
+    h.bench("pcie_fragment_4k_x1k", || {
+        for _ in 0..1024 {
+            let req = fabric.send_tlp(now, nic, gpu, TlpKind::MemRead, 0);
+            let cpl = fabric.send_stream(req.arrive, gpu, nic, TlpKind::Completion, 4096, 256);
+            fabric.send_stream(cpl.arrive, nic, gpu, TlpKind::MemWrite, 4096, 256);
+            now = req.arrive;
+        }
+        now
+    });
     h.bench("gpu_v2p_walk_x1k", || {
         let mut pt = GpuV2p::new();
         for p in 0..1024u64 {

@@ -6,10 +6,15 @@
 //! every endpoint pair ([`PathClass`]) and charges a latency penalty for
 //! paths that cross the inter-socket QPI on multi-socket platforms.
 
-use crate::link::{Dir, Link, LinkSpec, Reservation};
-use crate::tlp::{self, TlpKind};
+use crate::link::{Dir, Link, LinkSpec, Run};
+use crate::tlp::TlpKind;
 use apenet_sim::trace::{SharedSink, SpanId, TracePayload};
 use apenet_sim::{SimDuration, SimTime};
+use std::ops::Range;
+
+/// Forwarding latency of a root complex between two of its ports:
+/// comparable to a switch hop.
+pub const ROOT_FORWARD_LATENCY: SimDuration = SimDuration::from_ns(250);
 
 /// Identifies any node (root complex, switch, endpoint) in a fabric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -77,6 +82,13 @@ pub struct Fabric {
     nodes: Vec<Node>,
     links: Vec<Link>,
     analyzers: Vec<Option<SharedSink>>,
+    /// Hop plans per `(from, to)` node pair, built on first use: slot
+    /// `from * nodes + to` holds a range of `plan_hops` (empty = not yet
+    /// built). Adding a node clears both.
+    plan_of: Vec<(u32, u32)>,
+    plan_hops: Vec<Hop>,
+    /// Reused piece buffer of the stream being reserved.
+    run: Run,
     /// Message span stamped onto analyzer records (see
     /// [`Fabric::set_span`]).
     span: Option<SpanId>,
@@ -97,6 +109,9 @@ impl Fabric {
             nodes: Vec::new(),
             links: Vec::new(),
             analyzers: Vec::new(),
+            plan_of: Vec::new(),
+            plan_hops: Vec::new(),
+            run: Run::default(),
             span: None,
             qpi_penalty: SimDuration::from_ns(400),
         }
@@ -111,6 +126,7 @@ impl Fabric {
 
     /// Add a root complex on CPU socket `socket`.
     pub fn add_root(&mut self, socket: u8) -> DeviceId {
+        self.clear_plans();
         self.nodes.push(Node {
             kind: NodeKind::Root { socket },
             up: None,
@@ -126,6 +142,7 @@ impl Fabric {
         spec: LinkSpec,
         lat: SimDuration,
     ) -> DeviceId {
+        self.clear_plans();
         let link_id = self.links.len();
         self.links.push(Link::new(spec, lat));
         self.analyzers.push(None);
@@ -264,17 +281,14 @@ impl Fabric {
     fn forward_latency_of(&self, node: usize) -> SimDuration {
         match self.nodes[node].kind {
             NodeKind::Switch { forward_latency } => forward_latency,
-            // Root complexes forward peer traffic between their ports with a
-            // latency comparable to a switch hop.
-            NodeKind::Root { .. } => SimDuration::from_ns(250),
+            NodeKind::Root { .. } => ROOT_FORWARD_LATENCY,
             NodeKind::Endpoint { .. } => SimDuration::ZERO,
         }
     }
 
-    /// Precompute the hop plan from `from` to `to`: per hop, the link to
+    /// Compute the hop plan from `from` to `to`: per hop, the link to
     /// reserve (`None` for the QPI root-to-root seam) and the forwarding
-    /// latency charged after crossing it. Streams compute this once and
-    /// replay it per chunk instead of re-walking the tree per TLP.
+    /// latency charged after crossing it.
     fn hop_plan(&self, from: DeviceId, to: DeviceId) -> Vec<Hop> {
         let path = self.node_path(from.0, to.0);
         assert!(path.len() >= 2, "from == to or disconnected");
@@ -295,54 +309,130 @@ impl Fabric {
             .collect()
     }
 
-    /// Run one TLP over a precomputed hop plan, reserving every traversed
-    /// link store-and-forward.
-    fn send_tlp_over(
+    fn clear_plans(&mut self) {
+        self.plan_of.clear();
+        self.plan_hops.clear();
+    }
+
+    /// The hop plan from `from` to `to` as a range of `plan_hops`, built
+    /// on the pair's first use.
+    fn plan(&mut self, from: DeviceId, to: DeviceId) -> Range<usize> {
+        let n = self.nodes.len();
+        if self.plan_of.len() != n * n {
+            self.plan_of = vec![(0, 0); n * n];
+        }
+        let slot = from.0 * n + to.0;
+        let (mut start, mut len) = self.plan_of[slot];
+        if len == 0 {
+            let hops = self.hop_plan(from, to);
+            start = self.plan_hops.len() as u32;
+            len = hops.len() as u32;
+            self.plan_hops.extend(hops);
+            self.plan_of[slot] = (start, len);
+        }
+        start as usize..(start + len) as usize
+    }
+
+    /// Send `n` full TLPs of `kind` with `chunk` payload bytes, then one
+    /// tail TLP with `tail` payload bytes if given, all ready at `now`,
+    /// over the hop plan `plan`. Every TLP is reserved store-and-forward on
+    /// every traversed link, exactly as if sent one at a time in order,
+    /// at O(hops) cost: within one call nothing else touches the fabric
+    /// and a tree path crosses each link once, so the TLPs traverse a
+    /// tandem of FIFO links with constant service times
+    /// ([`Link::reserve_run`]).
+    fn send_run(
         &mut self,
         now: SimTime,
+        plan: Range<usize>,
         kind: TlpKind,
-        payload: u32,
-        hops: &[Hop],
+        n: u64,
+        chunk: u32,
+        tail: Option<u32>,
     ) -> TlpArrival {
-        let wire = kind.wire_bytes(payload);
-        let mut ready = now;
-        let mut first_start = None;
-        for hop in hops {
-            match hop.link {
-                Some((link, dir)) => {
-                    let res: Reservation = self.links[link].reserve(ready, dir, wire);
-                    if first_start.is_none() {
-                        first_start = Some(res.start);
+        if n == 0 && tail.is_none() {
+            return TlpArrival {
+                start: now,
+                arrive: now,
+            };
+        }
+        #[cfg(debug_assertions)]
+        let (replay_links, replay) = {
+            let mut links = self.links.clone();
+            let payloads = std::iter::repeat_n(chunk, n as usize).chain(tail);
+            let hops = &self.plan_hops[plan.clone()];
+            let arrival = reserve_per_tlp(&mut links, hops, self.qpi_penalty, now, kind, payloads);
+            (links, arrival)
+        };
+        let wire = if n > 0 { kind.wire_bytes(chunk) } else { 0 };
+        let tail_wire = tail.map_or(0, |t| kind.wire_bytes(t));
+        let run = &mut self.run;
+        run.begin(now, n, tail.is_some());
+        let mut start = None;
+        // Per analyzed hop: its sink, direction, latency and the run's
+        // departure ends from it.
+        let mut analyzed = Vec::new();
+        for hop in &self.plan_hops[plan] {
+            let delay = match hop.link {
+                Some((id, dir)) => {
+                    let link = &mut self.links[id];
+                    start.get_or_insert(now.max(link.busy_until(dir)));
+                    link.reserve_run(dir, run, wire, tail_wire);
+                    if let Some(sink) = self.analyzers[id].as_ref().filter(|s| s.enabled()) {
+                        analyzed.push((sink, dir == Dir::Up, link.latency(), run.clone()));
                     }
-                    if let Some(sink) = &self.analyzers[link] {
-                        if sink.enabled() {
-                            sink.record(
-                                res.arrive,
-                                "interposer",
-                                kind.mnemonic(),
-                                self.span,
-                                TracePayload::Tlp {
-                                    len: payload as u64,
-                                    wire,
-                                    up: dir == Dir::Up,
-                                },
-                            );
-                        }
-                    }
-                    ready = res.arrive;
+                    link.latency()
                 }
                 None => {
                     // Root-to-root seam: the QPI crossing.
-                    ready += self.qpi_penalty;
-                    first_start.get_or_insert(ready);
+                    start.get_or_insert(now + self.qpi_penalty);
+                    self.qpi_penalty
+                }
+            };
+            run.delay(delay + hop.forward);
+        }
+        // The interposers see each TLP arrive: TLP by TLP and, within one
+        // TLP, in path order.
+        if !analyzed.is_empty() {
+            let tlps = (1..=n)
+                .map(|k| (Some(k), chunk, wire))
+                .chain(tail.map(|t| (None, t, tail_wire)));
+            for (k, payload, wire) in tlps {
+                for (sink, up, latency, ends) in &analyzed {
+                    let end = match k {
+                        Some(k) => ends.at(k),
+                        None => ends.tail().expect("the run has a tail"),
+                    };
+                    sink.record(
+                        end + *latency,
+                        "interposer",
+                        kind.mnemonic(),
+                        self.span,
+                        TracePayload::Tlp {
+                            len: payload as u64,
+                            wire,
+                            up: *up,
+                        },
+                    );
                 }
             }
-            ready += hop.forward;
         }
-        TlpArrival {
-            start: first_start.unwrap(),
-            arrive: ready,
+        let arrival = TlpArrival {
+            start: start.expect("a hop plan has at least one hop"),
+            arrive: run.last().expect("the run holds a TLP"),
+        };
+        #[cfg(debug_assertions)]
+        {
+            debug_assert_eq!(
+                arrival, replay,
+                "closed form diverged from the per-TLP replay"
+            );
+            debug_assert!(
+                self.links == replay_links,
+                "link occupancy diverged from the per-TLP replay"
+            );
         }
+        arrival
     }
 
     /// Send one TLP of `kind` with `payload` data bytes from endpoint `from`
@@ -355,13 +445,14 @@ impl Fabric {
         kind: TlpKind,
         payload: u32,
     ) -> TlpArrival {
-        let hops = self.hop_plan(from, to);
-        self.send_tlp_over(now, kind, payload, &hops)
+        let plan = self.plan(from, to);
+        self.send_run(now, plan, kind, 0, 0, Some(payload))
     }
 
     /// Send `len` bytes of data as a stream of `kind` TLPs with payloads of
-    /// at most `chunk` bytes. Returns the arrival time of the final TLP.
-    /// The path is resolved once for the whole stream.
+    /// at most `chunk` bytes, all ready at `now`. Returns when the first
+    /// TLP started and the final TLP arrived. Costs O(hops) whatever the
+    /// TLP count (DESIGN.md §2.2, "Stream reservation").
     pub fn send_stream(
         &mut self,
         now: SimTime,
@@ -371,18 +462,11 @@ impl Fabric {
         len: u64,
         chunk: u32,
     ) -> TlpArrival {
-        let hops = self.hop_plan(from, to);
-        let mut first = None;
-        let mut last = now;
-        for payload in tlp::chunks(len, chunk) {
-            let a = self.send_tlp_over(now, kind, payload, &hops);
-            first.get_or_insert(a.start);
-            last = a.arrive;
-        }
-        TlpArrival {
-            start: first.unwrap_or(now),
-            arrive: last,
-        }
+        let plan = self.plan(from, to);
+        assert!(chunk > 0, "TLP payload chunk must be positive");
+        let rem = (len % chunk as u64) as u32;
+        let tail = (rem > 0).then_some(rem);
+        self.send_run(now, plan, kind, len / chunk as u64, chunk, tail)
     }
 
     /// Reset all link occupancy (between benchmark repetitions).
@@ -392,10 +476,55 @@ impl Fabric {
         }
     }
 
+    /// When the uplink of `dev` next becomes free in `dir`.
+    pub fn uplink_busy_until(&self, dev: DeviceId, dir: Dir) -> SimTime {
+        let (_, link) = self.nodes[dev.0].up.expect("roots have no uplink");
+        self.links[link].busy_until(dir)
+    }
+
     /// Total wire bytes carried by the uplink of `dev` in `dir`.
     pub fn uplink_carried(&self, dev: DeviceId, dir: Dir) -> u64 {
         let (_, link) = self.nodes[dev.0].up.expect("roots have no uplink");
         self.links[link].carried(dir)
+    }
+}
+
+/// The per-TLP reservation loop that [`Fabric::send_run`] must equal:
+/// each TLP crosses every hop, store-and-forward, before the next one
+/// starts. Debug builds replay it on a copy of the links.
+#[cfg(debug_assertions)]
+fn reserve_per_tlp(
+    links: &mut [Link],
+    hops: &[Hop],
+    qpi_penalty: SimDuration,
+    now: SimTime,
+    kind: TlpKind,
+    payloads: impl Iterator<Item = u32>,
+) -> TlpArrival {
+    let mut first = None;
+    let mut last = now;
+    for payload in payloads {
+        let wire = kind.wire_bytes(payload);
+        let mut ready = now;
+        for hop in hops {
+            match hop.link {
+                Some((id, dir)) => {
+                    let res = links[id].reserve(ready, dir, wire);
+                    first.get_or_insert(res.start);
+                    ready = res.arrive;
+                }
+                None => {
+                    ready += qpi_penalty;
+                    first.get_or_insert(ready);
+                }
+            }
+            ready += hop.forward;
+        }
+        last = ready;
+    }
+    TlpArrival {
+        start: first.unwrap_or(now),
+        arrive: last,
     }
 }
 
@@ -443,8 +572,8 @@ mod tests {
     #[test]
     fn tlp_timing_same_switch() {
         let (mut f, gpu, nic, _) = plx_platform();
-        // 280 wire bytes over x16 (25 ns... wait: x16 @8 GB/s = 35 ns for 280)
-        // then x8 (70 ns), plus 100 ns per link latency and 150 ns forward.
+        // 280 wire bytes over x16 (8 GB/s: 35 ns), then over x8 (4 GB/s:
+        // 70 ns), plus 100 ns latency per link and 150 ns switch forward.
         let a = f.send_tlp(SimTime::ZERO, gpu, nic, TlpKind::MemWrite, 256);
         let expect = SimDuration::from_ns(35 + 100 + 150 + 70 + 100);
         assert_eq!(a.arrive, SimTime::ZERO + expect);

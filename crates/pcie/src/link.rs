@@ -6,6 +6,9 @@
 //! link stretches delivery times — this is how read-request traffic and
 //! completion traffic on the same segment interact, and how the model's
 //! congestion arises without per-byte events.
+//!
+//! A stream of TLPs crossing one link is reserved in closed form, at a
+//! cost independent of the TLP count.
 
 use apenet_sim::{Bandwidth, SimDuration, SimTime};
 
@@ -91,7 +94,7 @@ impl Dir {
 }
 
 /// One physical link with per-direction occupancy.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Link {
     spec: LinkSpec,
     /// Propagation + PHY latency per traversal.
@@ -143,6 +146,50 @@ impl Link {
         }
     }
 
+    /// Reserve a whole [`Run`] in direction `dir`: its full TLPs of
+    /// `wire` bytes each, back to back, then its tail TLP of `tail_wire`
+    /// bytes. Equal to calling [`Link::reserve`] once per TLP in order,
+    /// at O(pieces) cost. Rewrites `run` in place from ready times to
+    /// the instants each TLP's last byte leaves the transmitter.
+    ///
+    /// With `E_0` the busy horizon and `s` the per-TLP serialization
+    /// time, full TLP `k` leaves at `E_k = max(R_k, E_{k-1}) + s`, which
+    /// unrolls to `max(E_0 + s·k, max_m R_m + s·(k-m+1))`. For a ready
+    /// piece `a + b·k` the inner max sits at `m = k` when `b > s` and at
+    /// `m = 1` otherwise, so the piece maps to `(a + s) + b·k` or to
+    /// `(a + b) + s·k`.
+    pub(crate) fn reserve_run(&mut self, dir: Dir, run: &mut Run, wire: u64, tail_wire: u64) {
+        let i = dir.idx();
+        let mut end = self.busy_until[i];
+        if run.n > 0 {
+            let s = self.spec.raw_rate().time_for(wire).as_ps();
+            let mut base = end.as_ps();
+            run.full.retain_mut(|p| {
+                if p.slope > s {
+                    p.base += s;
+                    true
+                } else {
+                    base = base.max(p.base + p.slope);
+                    false
+                }
+            });
+            run.full.push(Piece { base, slope: s });
+            end = run.at(run.n);
+            self.wire_bytes[i] += run.n * wire;
+        }
+        if let Some(ready) = &mut run.tail {
+            *ready = (*ready).max(end) + self.spec.raw_rate().time_for(tail_wire);
+            end = *ready;
+            self.wire_bytes[i] += tail_wire;
+        }
+        self.busy_until[i] = end;
+    }
+
+    /// Propagation + PHY latency per traversal.
+    pub(crate) fn latency(&self) -> SimDuration {
+        self.latency
+    }
+
     /// When the given direction next becomes free.
     pub fn busy_until(&self, dir: Dir) -> SimTime {
         self.busy_until[dir.idx()]
@@ -157,6 +204,71 @@ impl Link {
     pub fn reset(&mut self) {
         self.busy_until = [SimTime::ZERO; 2];
         self.wire_bytes = [0; 2];
+    }
+}
+
+/// One affine piece of a [`Run`]'s full-TLP times: `base + slope·k`
+/// picoseconds for TLP `k`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Piece {
+    base: u64,
+    slope: u64,
+}
+
+/// The per-TLP instants of a run of TLPs that cross a path together:
+/// `n` full TLPs, then at most one shorter tail TLP.
+///
+/// Full TLP `k` (1-based) is at the max over the pieces of
+/// `base + slope·k`. Each link crossing ([`Link::reserve_run`]) merges
+/// the pieces whose slope does not exceed its serialization time into
+/// one, so a run never holds more pieces than the links it has crossed,
+/// plus one.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct Run {
+    n: u64,
+    full: Vec<Piece>,
+    tail: Option<SimTime>,
+}
+
+impl Run {
+    /// Restart as `n` full TLPs and, if `tail`, one tail TLP, all ready
+    /// at `now`. Keeps the piece buffer's allocation.
+    pub(crate) fn begin(&mut self, now: SimTime, n: u64, tail: bool) {
+        self.n = n;
+        self.full.clear();
+        if n > 0 {
+            self.full.push(Piece {
+                base: now.as_ps(),
+                slope: 0,
+            });
+        }
+        self.tail = tail.then_some(now);
+    }
+
+    /// The instant of full TLP `k` (1-based, at most `n`).
+    pub(crate) fn at(&self, k: u64) -> SimTime {
+        let ps = self.full.iter().map(|p| p.base + p.slope * k).max();
+        SimTime::from_ps(ps.expect("a run with full TLPs has pieces"))
+    }
+
+    /// The instant of the tail TLP, if the run has one.
+    pub(crate) fn tail(&self) -> Option<SimTime> {
+        self.tail
+    }
+
+    /// The instant of the run's last TLP (`None` for an empty run).
+    pub(crate) fn last(&self) -> Option<SimTime> {
+        self.tail.or_else(|| (self.n > 0).then(|| self.at(self.n)))
+    }
+
+    /// Shift every TLP's instant by `d`.
+    pub(crate) fn delay(&mut self, d: SimDuration) {
+        for p in &mut self.full {
+            p.base += d.as_ps();
+        }
+        if let Some(t) = &mut self.tail {
+            *t += d;
+        }
     }
 }
 
@@ -206,6 +318,36 @@ mod tests {
         l.reset();
         assert_eq!(l.carried(Dir::Up), 0);
         assert_eq!(l.busy_until(Dir::Up), SimTime::ZERO);
+    }
+
+    #[test]
+    fn run_matches_per_tlp_reservations() {
+        // A slow x4 link feeds a fast x16 one: the first crossing merges
+        // the ready piece into the busy one, the second keeps the slow
+        // link's slope. Prior occupancy makes the tail wait or not.
+        for (n, tail, busy_ns) in [(0, true, 0), (5, false, 300), (7, true, 0), (9, true, 2000)] {
+            let mut closed = Link::new(LinkSpec::GEN2_X4, SimDuration::from_ns(40));
+            let _ = closed.reserve(SimTime::ZERO, Dir::Down, busy_ns * 2);
+            let mut reference = closed.clone();
+            let mut run = Run::default();
+            run.begin(SimTime::from_ps(500), n, tail);
+            closed.reserve_run(Dir::Down, &mut run, 280, 100);
+            run.delay(SimDuration::from_ns(40));
+            let mut fast = Link::new(LinkSpec::GEN2_X16, SimDuration::ZERO);
+            fast.reserve_run(Dir::Down, &mut run, 280, 100);
+            let mut expect = Vec::new();
+            let mut fast_ref = Link::new(LinkSpec::GEN2_X16, SimDuration::ZERO);
+            let wires = std::iter::repeat_n(280, n as usize).chain(tail.then_some(100));
+            for wire in wires {
+                let a = reference.reserve(SimTime::from_ps(500), Dir::Down, wire);
+                let b = fast_ref.reserve(a.arrive, Dir::Down, wire);
+                expect.push(b.depart_end);
+            }
+            let got: Vec<SimTime> = (1..=n).map(|k| run.at(k)).chain(run.tail()).collect();
+            assert_eq!(got, expect);
+            assert_eq!(run.last(), expect.last().copied());
+            assert_eq!((closed, fast), (reference, fast_ref));
+        }
     }
 
     #[test]

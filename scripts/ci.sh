@@ -48,6 +48,18 @@ cargo run --release --offline -q -p apenet-bench --bin chaos-sweep
 cargo run --release --offline -q -p apenet-bench --bin degraded-route
 git diff --exit-code -- results/fig06.txt results/chaos_sweep.txt results/degraded_route.txt
 
+echo "==> fig08-10, table2, table3 (H-H, H-G, G-H, G-G latency and host overhead, HSG runs; match committed)"
+# Every PCIe path of the card, root-complex hops included: host and GPU
+# sources and destinations, each fragment a read request, a completion
+# stream and a write stream.
+cargo run --release --offline -q -p apenet-bench --bin fig08
+cargo run --release --offline -q -p apenet-bench --bin fig09
+cargo run --release --offline -q -p apenet-bench --bin fig10
+cargo run --release --offline -q -p apenet-bench --bin table2
+cargo run --release --offline -q -p apenet-bench --bin table3
+git diff --exit-code -- results/fig08.txt results/fig09.txt results/fig10.txt \
+    results/table2.txt results/table3.txt
+
 echo "==> fig05, bidir, BAR1 ablation (TX fetch planning, concurrent TX and RX, BAR1 reads; match committed)"
 # v1/v2/v3 fetch planning on the loop-back path, TX and RX sharing one
 # card, and reads through the BAR1 aperture: every way a TX job issues
