@@ -1,7 +1,9 @@
-//! Distributed level-synchronous BFS: partitioning and the pure per-level
-//! expansion/apply steps (the transport-independent algorithm core).
+//! Distributed level-synchronous BFS: partitioning, the pure per-level
+//! expansion/apply steps (the transport-independent algorithm core), and
+//! the per-level counts of a whole traversal.
 
 use crate::bfs::csr::Csr;
+use crate::bfs::seq::{self, BfsTree};
 
 /// 1-D contiguous vertex partition over `np` ranks.
 #[derive(Debug, Clone, Copy)]
@@ -44,8 +46,9 @@ pub struct RankState {
     pub rank: usize,
     /// The partition.
     pub part: Partition,
-    /// Global level array restricted to owned vertices (indexed globally
-    /// for simplicity; foreign entries stay −1).
+    /// First owned vertex: `level` and `parent` are indexed by `v - lo`.
+    pub lo: u32,
+    /// Levels of owned vertices (−1 = unreached).
     pub level: Vec<i32>,
     /// Parents of owned vertices.
     pub parent: Vec<i64>,
@@ -67,17 +70,20 @@ pub struct Expansion {
 impl RankState {
     /// Fresh state; seeds the frontier with `root` if owned.
     pub fn new(rank: usize, part: Partition, root: u32) -> Self {
+        let lo = part.range(rank).0;
+        let owned = part.owned(rank);
         let mut s = RankState {
             rank,
             part,
-            level: vec![-1; part.n],
-            parent: vec![-1; part.n],
+            lo,
+            level: vec![-1; owned],
+            parent: vec![-1; owned],
             frontier: Vec::new(),
             sent: vec![0; part.n.div_ceil(64)],
         };
         if part.owner(root) == rank {
-            s.level[root as usize] = 0;
-            s.parent[root as usize] = root as i64;
+            s.level[(root - lo) as usize] = 0;
+            s.parent[(root - lo) as usize] = root as i64;
             s.frontier.push(root);
         }
         s
@@ -88,6 +94,18 @@ impl RankState {
         let was = self.sent[w] & (1 << b) != 0;
         self.sent[w] |= 1 << b;
         was
+    }
+
+    /// Mark owned vertex `v` reached from `p` at `level`, if it is not
+    /// yet; returns whether it was fresh.
+    fn reach(&mut self, v: u32, p: u32, level: i32) -> bool {
+        let i = (v - self.lo) as usize;
+        let fresh = self.level[i] < 0;
+        if fresh {
+            self.level[i] = level;
+            self.parent[i] = p as i64;
+        }
+        fresh
     }
 
     /// Scan the current frontier: local discoveries are applied on the
@@ -108,9 +126,7 @@ impl RankState {
             for &v in g.neighbors(u) {
                 let owner = self.part.owner(v);
                 if owner == self.rank {
-                    if self.level[v as usize] < 0 {
-                        self.level[v as usize] = next_level;
-                        self.parent[v as usize] = u as i64;
+                    if self.reach(v, u, next_level) {
                         local_new.push(v);
                     }
                 } else if !self.sent_test_set(v) {
@@ -132,14 +148,96 @@ impl RankState {
         let mut fresh = 0;
         for &(v, p) in pairs {
             debug_assert_eq!(self.part.owner(v), self.rank);
-            if self.level[v as usize] < 0 {
-                self.level[v as usize] = next_level;
-                self.parent[v as usize] = p as i64;
+            if self.reach(v, p, next_level) {
                 self.frontier.push(v);
                 fresh += 1;
             }
         }
         fresh
+    }
+}
+
+/// One level of a [`Traversal`].
+#[derive(Debug, Clone)]
+pub struct LevelCounts {
+    /// Directed edges each rank scans.
+    pub edges_scanned: Vec<u64>,
+    /// Candidate pairs rank `src` sends rank `dst`, at `[src][dst]`.
+    pub pairs: Vec<Vec<u64>>,
+    /// Each rank's frontier length after `apply`.
+    pub frontier: Vec<u64>,
+}
+
+/// A level-synchronous BFS of one `(graph, np, root)` with a perfect
+/// transport: what each level costs, and the tree.
+///
+/// The counts depend only on which vertices each level reaches, not on
+/// which parent wins, so every transport that runs the same levels sees
+/// the same counts, in whatever order its messages arrive.
+#[derive(Debug, Clone)]
+pub struct Traversal {
+    /// Every level run, the final empty round included.
+    pub levels: Vec<LevelCounts>,
+    /// The merged tree, each rank applying candidates in source-rank
+    /// order.
+    pub tree: BfsTree,
+    /// Undirected edges of the traversed component.
+    pub traversed_edges: u64,
+}
+
+impl Traversal {
+    /// Traverse `g` from `root` over the ranks of `part`.
+    pub fn build(g: &Csr, part: Partition, root: u32) -> Self {
+        let mut ranks: Vec<RankState> = (0..part.np)
+            .map(|r| RankState::new(r, part, root))
+            .collect();
+        let mut levels = Vec::new();
+        loop {
+            let next = levels.len() as i32 + 1;
+            let frontier_total: usize = ranks.iter().map(|r| r.frontier.len()).sum();
+            let exps: Vec<Expansion> = ranks.iter_mut().map(|r| r.expand(g, next)).collect();
+            for (dst, r) in ranks.iter_mut().enumerate() {
+                for e in &exps {
+                    r.apply(&e.to_rank[dst], next);
+                }
+            }
+            levels.push(LevelCounts {
+                edges_scanned: exps.iter().map(|e| e.edges_scanned).collect(),
+                pairs: exps
+                    .iter()
+                    .map(|e| e.to_rank.iter().map(|p| p.len() as u64).collect())
+                    .collect(),
+                frontier: ranks.iter().map(|r| r.frontier.len() as u64).collect(),
+            });
+            if frontier_total == 0 {
+                break;
+            }
+            assert!(levels.len() < 1000, "runaway");
+        }
+        let mut tree = BfsTree {
+            level: vec![-1; part.n],
+            parent: vec![-1; part.n],
+        };
+        for r in &ranks {
+            let lo = r.lo as usize;
+            tree.level[lo..lo + r.level.len()].copy_from_slice(&r.level);
+            tree.parent[lo..lo + r.parent.len()].copy_from_slice(&r.parent);
+        }
+        let traversed_edges = seq::traversed_edges(g, &tree);
+        Traversal {
+            levels,
+            tree,
+            traversed_edges,
+        }
+    }
+
+    /// The longest candidate list any rank sends another in one level
+    /// (at least 1): what an exchange slot must hold.
+    pub fn max_pairs(&self) -> u64 {
+        self.levels
+            .iter()
+            .flat_map(|l| l.pairs.iter().flatten())
+            .fold(1, |m, &p| m.max(p))
     }
 }
 
@@ -175,7 +273,6 @@ pub fn decode(bytes: &[u8]) -> (u32, Vec<(u32, u32)>) {
 mod tests {
     use super::*;
     use crate::bfs::rmat;
-    use crate::bfs::seq;
 
     #[test]
     fn partition_covers_all() {
@@ -202,50 +299,13 @@ mod tests {
         assert_eq!(decode(&encode(5, &[])), (5, vec![]));
     }
 
-    /// Run the whole distributed algorithm in-process (perfect transport)
-    /// and compare against the sequential reference.
-    fn run_inprocess(g: &Csr, np: usize, root: u32) -> seq::BfsTree {
-        let part = Partition { n: g.n(), np };
-        let mut ranks: Vec<RankState> = (0..np).map(|r| RankState::new(r, part, root)).collect();
-        let mut level = 0i32;
-        loop {
-            let frontier_total: usize = ranks.iter().map(|r| r.frontier.len()).sum();
-            if frontier_total == 0 {
-                break;
-            }
-            let expansions: Vec<Expansion> =
-                ranks.iter_mut().map(|r| r.expand(g, level + 1)).collect();
-            for (src, e) in expansions.iter().enumerate() {
-                let _ = src;
-                for (dst, pairs) in e.to_rank.iter().enumerate() {
-                    ranks[dst].apply(pairs, level + 1);
-                }
-            }
-            level += 1;
-            assert!(level < 1000, "runaway");
-        }
-        // Merge.
-        let mut out = seq::BfsTree {
-            level: vec![-1; g.n()],
-            parent: vec![-1; g.n()],
-        };
-        for r in &ranks {
-            let (lo, hi) = part.range(r.rank);
-            for v in lo..hi {
-                out.level[v as usize] = r.level[v as usize];
-                out.parent[v as usize] = r.parent[v as usize];
-            }
-        }
-        out
-    }
-
     #[test]
     fn distributed_equals_sequential_reference() {
         let edges = rmat::generate(10, 16, 9);
         let g = Csr::build(1 << 10, &edges);
         let reference = seq::bfs(&g, 3);
         for np in [1, 2, 4, 7] {
-            let tree = run_inprocess(&g, np, 3);
+            let tree = Traversal::build(&g, Partition { n: g.n(), np }, 3).tree;
             seq::validate(&g, 3, &tree, &reference).unwrap_or_else(|e| panic!("np={np}: {e}"));
         }
     }

@@ -9,4 +9,4 @@ pub mod seq;
 
 pub use cost::BfsCost;
 pub use csr::Csr;
-pub use run::{graph, run_apenet, run_ib, BfsConfig, BfsResult};
+pub use run::{graph, run_apenet, run_ib, traversal, BfsConfig, BfsResult};

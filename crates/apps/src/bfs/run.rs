@@ -10,8 +10,8 @@
 
 use crate::bfs::cost::BfsCost;
 use crate::bfs::csr::Csr;
-use crate::bfs::dist::{decode, encode, Expansion, Partition, RankState};
-use crate::bfs::seq::{self, BfsTree};
+use crate::bfs::dist::{decode, encode, Expansion, Partition, RankState, Traversal};
+use crate::bfs::seq::BfsTree;
 use crate::hsg::run::{coord_for, dims_for};
 use apenet_cluster::cluster::ClusterBuilder;
 use apenet_cluster::msg::{HostApi, HostIn, HostProgram, NodeCtx};
@@ -107,6 +107,8 @@ struct RankDone {
 struct BfsRank {
     cfg: BfsConfig,
     g: Arc<Csr>,
+    // The counts every level must reproduce (checked in debug builds).
+    trav: Rc<Traversal>,
     state: RankState,
     rank: usize,
     // GPU buffer layout: send and recv slots by peer *position*
@@ -168,6 +170,24 @@ impl BfsRank {
         self.kernel_done = false;
         self.my_frontier_len = self.state.frontier.len() as u32;
         let expansion = self.state.expand(&self.g, self.level + 1);
+        let counts = &self.trav.levels[self.level as usize];
+        debug_assert_eq!(
+            (
+                expansion.edges_scanned,
+                expansion
+                    .to_rank
+                    .iter()
+                    .map(|p| p.len() as u64)
+                    .collect::<Vec<_>>()
+            ),
+            (
+                counts.edges_scanned[self.rank],
+                counts.pairs[self.rank].clone()
+            ),
+            "rank {} level {}: expansion differs from the traversal",
+            self.rank,
+            self.level
+        );
         let dur = self
             .cfg
             .cost
@@ -247,8 +267,14 @@ impl BfsRank {
         }
         // Integrate and account.
         let pairs = std::mem::take(&mut self.pending_pairs[parity]);
-        let fresh = self.state.apply(&pairs, self.level + 1);
-        let _ = fresh;
+        self.state.apply(&pairs, self.level + 1);
+        debug_assert_eq!(
+            self.state.frontier.len() as u64,
+            self.trav.levels[self.level as usize].frontier[self.rank],
+            "rank {} level {}: frontier differs from the traversal",
+            self.rank,
+            self.level
+        );
         self.pairs_in_prev = pairs.len() as u64;
         let total_frontier = self.my_frontier_len as u64 + self.frontier_global[parity];
         self.msgs_in[parity] = 0;
@@ -321,6 +347,10 @@ impl HostProgram for BfsRank {
 /// What identifies a graph: `(scale, edgefactor, seed, permute)`.
 type GraphKey = (u32, u32, u64, bool);
 
+fn graph_key(cfg: &BfsConfig) -> GraphKey {
+    (cfg.scale, cfg.edgefactor, cfg.seed, cfg.permute)
+}
+
 /// The graph cache: the last graph built, with its key.
 static GRAPH: Mutex<Option<(GraphKey, Arc<Csr>)>> = Mutex::new(None);
 
@@ -333,7 +363,7 @@ static GRAPH: Mutex<Option<(GraphKey, Arc<Csr>)>> = Mutex::new(None);
 /// (a scale-20 CSR is over 100 MB). The build runs under the cache
 /// lock, so concurrent callers asking for one key build it once.
 pub fn graph(cfg: &BfsConfig) -> Arc<Csr> {
-    let key = (cfg.scale, cfg.edgefactor, cfg.seed, cfg.permute);
+    let key = graph_key(cfg);
     let mut slot = GRAPH.lock().unwrap_or_else(PoisonError::into_inner);
     if let Some((k, g)) = slot.as_ref() {
         if *k == key {
@@ -347,6 +377,45 @@ pub fn graph(cfg: &BfsConfig) -> Arc<Csr> {
     g
 }
 
+/// What identifies a traversal: the graph, the rank count and the root.
+type TraversalKey = (GraphKey, usize, u32);
+
+thread_local! {
+    /// This thread's traversal cache: the last traversal built, with its
+    /// key.
+    static TRAVERSAL: RefCell<Option<(TraversalKey, Rc<Traversal>)>> =
+        const { RefCell::new(None) };
+}
+
+/// The traversal of `cfg`'s graph from `cfg.root` over `cfg.np` ranks.
+///
+/// A per-thread cache holds the last traversal built, so `run_apenet`
+/// then `run_ib` of one configuration traverse once. Like the graph
+/// cache it holds one entry, dropped before a new key is built. It is
+/// per thread, not per process, because `table4` runs each rank count
+/// on its own `sweep` worker: one shared entry would make the workers
+/// wait on each other's builds and evict each other's traversals.
+pub fn traversal(cfg: &BfsConfig) -> Rc<Traversal> {
+    let key = (graph_key(cfg), cfg.np, cfg.root);
+    let hit = TRAVERSAL.with_borrow(|slot| {
+        slot.as_ref()
+            .filter(|(k, _)| *k == key)
+            .map(|(_, t)| t.clone())
+    });
+    if let Some(t) = hit {
+        return t;
+    }
+    TRAVERSAL.with_borrow_mut(|slot| *slot = None);
+    let g = graph(cfg);
+    let part = Partition {
+        n: g.n(),
+        np: cfg.np,
+    };
+    let t = Rc::new(Traversal::build(&g, part, cfg.root));
+    TRAVERSAL.with_borrow_mut(|slot| *slot = Some((key, t.clone())));
+    t
+}
+
 /// Run the APEnet+ version (GPU peer-to-peer, Table IV left column).
 pub fn run_apenet(cfg: &BfsConfig) -> BfsResult {
     run_apenet_on(cfg, cluster_i_default())
@@ -356,8 +425,9 @@ pub fn run_apenet(cfg: &BfsConfig) -> BfsResult {
 pub fn run_apenet_on(cfg: &BfsConfig, node_cfg: NodeConfig) -> BfsResult {
     let n = 1usize << cfg.scale;
     let g = graph(cfg);
+    let trav = traversal(cfg);
     let part = Partition { n, np: cfg.np };
-    let slot_bytes = 4 + 8 * max_message_pairs(&g, part, cfg.root);
+    let slot_bytes = 4 + 8 * trav.max_pairs();
     let done = Rc::new(RefCell::new(
         (0..cfg.np).map(|_| RankDone::default()).collect::<Vec<_>>(),
     ));
@@ -367,6 +437,7 @@ pub fn run_apenet_on(cfg: &BfsConfig, node_cfg: NodeConfig) -> BfsResult {
             Box::new(BfsRank {
                 cfg: cfg.clone(),
                 g: g.clone(),
+                trav: trav.clone(),
                 state: RankState::new(rank, part, cfg.root),
                 rank,
                 send_slots: Vec::new(),
@@ -393,63 +464,37 @@ pub fn run_apenet_on(cfg: &BfsConfig, node_cfg: NodeConfig) -> BfsResult {
     let mut cluster = ClusterBuilder::new(dims, node_cfg).build(programs);
     cluster.run();
     let ranks = done.borrow();
-    finish(cfg, &g, part, &ranks)
+    finish(&trav, part, &ranks)
 }
 
-/// Dry-run the distributed algorithm (perfect transport) to size the
-/// exchange buffers: the largest per-(src,dst) candidate list of any
-/// level.
-fn max_message_pairs(g: &Csr, part: Partition, root: u32) -> u64 {
-    let mut ranks: Vec<RankState> = (0..part.np)
-        .map(|r| RankState::new(r, part, root))
-        .collect();
-    let mut level = 0i32;
-    let mut max_pairs = 1u64;
-    loop {
-        let total: usize = ranks.iter().map(|r| r.frontier.len()).sum();
-        if total == 0 {
-            return max_pairs;
-        }
-        let exps: Vec<Expansion> = ranks.iter_mut().map(|r| r.expand(g, level + 1)).collect();
-        for e in &exps {
-            for pairs in &e.to_rank {
-                max_pairs = max_pairs.max(pairs.len() as u64);
-            }
-        }
-        for (dst, r) in ranks.iter_mut().enumerate() {
-            for e in &exps {
-                r.apply(&e.to_rank[dst], level + 1);
-            }
-        }
-        level += 1;
-        assert!(level < 1000);
-    }
-}
-
-fn finish(_cfg: &BfsConfig, g: &Csr, part: Partition, ranks: &[RankDone]) -> BfsResult {
+fn finish(trav: &Traversal, part: Partition, ranks: &[RankDone]) -> BfsResult {
     let mut tree = BfsTree {
-        level: vec![-1; g.n()],
-        parent: vec![-1; g.n()],
+        level: vec![-1; part.n],
+        parent: vec![-1; part.n],
     };
     for (r, d) in ranks.iter().enumerate() {
-        assert!(!d.level.is_empty(), "rank {r} never finished");
-        let (lo, hi) = part.range(r);
-        for v in lo..hi {
-            tree.level[v as usize] = d.level[v as usize];
-            tree.parent[v as usize] = d.parent[v as usize];
-        }
+        assert!(d.levels > 0, "rank {r} never finished");
+        let lo = part.range(r).0 as usize;
+        tree.level[lo..lo + d.level.len()].copy_from_slice(&d.level);
+        tree.parent[lo..lo + d.parent.len()].copy_from_slice(&d.parent);
     }
+    debug_assert_eq!(
+        tree.level.iter().map(|&l| l >= 0).collect::<Vec<_>>(),
+        trav.tree.level.iter().map(|&l| l >= 0).collect::<Vec<_>>(),
+        "the run reached other vertices than the traversal"
+    );
     let wall = ranks
         .iter()
         .map(|d| d.wall_end)
         .fold(SimTime::ZERO, SimTime::max)
         .since(SimTime::ZERO);
-    let m = seq::traversed_edges(g, &tree);
+    let levels = ranks.iter().map(|d| d.levels).max().unwrap_or(0);
+    debug_assert_eq!(levels as usize, trav.levels.len());
     BfsResult {
-        teps: m as f64 / wall.as_secs_f64(),
-        traversed_edges: m,
+        teps: trav.traversed_edges as f64 / wall.as_secs_f64(),
+        traversed_edges: trav.traversed_edges,
         wall,
-        levels: ranks.iter().map(|d| d.levels).max().unwrap_or(0),
+        levels,
         breakdown: ranks.iter().map(|d| (d.comp, d.comm)).collect(),
         tree,
     }
@@ -457,97 +502,66 @@ fn finish(_cfg: &BfsConfig, g: &Csr, part: Partition, ranks: &[RankDone]) -> Bfs
 
 /// Run the MPI/InfiniBand baseline analytically (Table IV right column):
 /// ranks are packed `ib_gpus_per_node` per node; same-node pairs exchange
-/// over the local PCIe (device-to-device copy) instead of the wire.
+/// over the local PCIe (device-to-device copy) instead of the wire. The
+/// run replays the timing over the cached [`traversal`]'s counts and
+/// reports its tree.
 pub fn run_ib(cfg: &BfsConfig, ib: IbConfig) -> BfsResult {
-    let n = 1usize << cfg.scale;
-    let g = graph(cfg);
-    let part = Partition { n, np: cfg.np };
+    let np = cfg.np;
+    let trav = traversal(cfg);
     let cost = BfsCost {
         derate: BfsCost::cluster_ii().derate,
         ..cfg.cost.clone()
     };
-    let mut states: Vec<RankState> = (0..cfg.np)
-        .map(|r| RankState::new(r, part, cfg.root))
-        .collect();
-    let mut mpi = CudaAwareMpi::new(cfg.np.max(2), ib.clone());
+    let mut mpi = CudaAwareMpi::new(np.max(2), ib);
     // Device-to-device rate for same-node pairs (cudaMemcpyPeer class).
     let d2d = apenet_sim::Bandwidth::from_mb_per_sec(5000);
     let d2d_overhead = SimDuration::from_us(12);
-    let mut clocks = vec![SimTime::ZERO; cfg.np];
-    let mut pairs_in_prev = vec![0u64; cfg.np];
-    let mut comp = vec![SimDuration::ZERO; cfg.np];
-    let mut comm = vec![SimDuration::ZERO; cfg.np];
-    let mut level = 0i32;
-    loop {
-        let frontier_total: u64 = states.iter().map(|s| s.frontier.len() as u64).sum();
-        let mut kernel_end = vec![SimTime::ZERO; cfg.np];
-        let mut expansions: Vec<Expansion> = Vec::with_capacity(cfg.np);
-        for (r, s) in states.iter_mut().enumerate() {
-            let e = s.expand(&g, level + 1);
-            let dur = cost.level_kernel(e.edges_scanned, pairs_in_prev[r]);
-            comp[r] += dur;
-            kernel_end[r] = clocks[r] + dur;
-            expansions.push(e);
-        }
+    let mut clocks = vec![SimTime::ZERO; np];
+    // Approx: a level's integration cost is charged on the frontier the
+    // previous level's `apply` left.
+    let mut pairs_in_prev = vec![0u64; np];
+    let mut comp = vec![SimDuration::ZERO; np];
+    let mut comm = vec![SimDuration::ZERO; np];
+    for counts in &trav.levels {
+        let kernel_end: Vec<SimTime> = (0..np)
+            .map(|r| {
+                let dur = cost.level_kernel(counts.edges_scanned[r], pairs_in_prev[r]);
+                comp[r] += dur;
+                clocks[r] + dur
+            })
+            .collect();
         // Exchange.
         let mut arrive = kernel_end.clone();
-        if cfg.np > 1 {
-            for src in 0..cfg.np {
-                for pos in 0..cfg.np - 1 {
-                    let dst = if pos < src { pos } else { pos + 1 };
-                    let bytes = 4 + 8 * expansions[src].to_rank[dst].len() as u64;
-                    let same_node = src / cfg.ib_gpus_per_node == dst / cfg.ib_gpus_per_node;
-                    let t = if same_node {
-                        kernel_end[src] + d2d_overhead + d2d.time_for(bytes)
-                    } else {
-                        mpi.send_gg(kernel_end[src], src, dst, bytes).complete
-                    };
-                    arrive[dst] = arrive[dst].max(t);
-                }
+        for (src, &sent) in kernel_end.iter().enumerate() {
+            for pos in 0..np - 1 {
+                let dst = if pos < src { pos } else { pos + 1 };
+                let bytes = 4 + 8 * counts.pairs[src][dst];
+                let same_node = src / cfg.ib_gpus_per_node == dst / cfg.ib_gpus_per_node;
+                let t = if same_node {
+                    sent + d2d_overhead + d2d.time_for(bytes)
+                } else {
+                    mpi.send_gg(sent, src, dst, bytes).complete
+                };
+                arrive[dst] = arrive[dst].max(t);
             }
         }
-        for (src, e) in expansions.iter().enumerate() {
-            for dstr in 0..cfg.np {
-                if src != dstr {
-                    pairs_in_prev[dstr] += e.to_rank[dstr].len() as u64;
-                    states[dstr].apply(&e.to_rank[dstr], level + 1);
-                }
-            }
+        for ((c, &end), &at) in comm.iter_mut().zip(&kernel_end).zip(&arrive) {
+            *c += at.since(end);
         }
-        for r in 0..cfg.np {
-            comm[r] += arrive[r].since(kernel_end[r]);
-            clocks[r] = arrive[r];
-            pairs_in_prev[r] = states[r].frontier.len() as u64; // approx: integration cost next level
-        }
-        if frontier_total == 0 {
-            break;
-        }
-        level += 1;
-        assert!(level < 1000);
-    }
-    let mut tree = BfsTree {
-        level: vec![-1; n],
-        parent: vec![-1; n],
-    };
-    for (r, s) in states.iter().enumerate() {
-        let (lo, hi) = part.range(r);
-        for v in lo..hi {
-            tree.level[v as usize] = s.level[v as usize];
-            tree.parent[v as usize] = s.parent[v as usize];
-        }
+        clocks = arrive;
+        pairs_in_prev.clone_from(&counts.frontier);
     }
     let wall = clocks
         .iter()
         .fold(SimTime::ZERO, |a, &t| a.max(t))
         .since(SimTime::ZERO);
-    let m = seq::traversed_edges(&g, &tree);
     BfsResult {
-        teps: m as f64 / wall.as_secs_f64(),
-        traversed_edges: m,
+        teps: trav.traversed_edges as f64 / wall.as_secs_f64(),
+        traversed_edges: trav.traversed_edges,
         wall,
-        levels: level as u32 + 1,
+        levels: trav.levels.len() as u32,
         breakdown: comp.into_iter().zip(comm).collect(),
-        tree,
+        tree: trav.tree.clone(),
     }
 }
 
@@ -639,7 +653,7 @@ mod tests {
         for np in [1, 4] {
             let key = BfsConfig::small(10, np);
             for run in [&apenet as &dyn Fn(&BfsConfig) -> Summary, &ib] {
-                graph(&cfg(6, 4)); // evict `key`
+                traversal(&cfg(6, 4)); // evict `key`'s graph and traversal
                 let cold = run(&key);
                 let warm = run(&key);
                 assert_eq!(cold, warm, "np {np}");

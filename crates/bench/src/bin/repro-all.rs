@@ -2,9 +2,11 @@
 //!
 //! Experiments fan out through [`apenet_bench::sweep`], so the driver
 //! and the per-figure sweeps share one global thread budget
-//! (`APENET_SWEEP_THREADS`). The run is repeated serially to record the
-//! parallel payoff in `BENCH_repro_all.json`; set
-//! `APENET_REPRO_NO_BASELINE=1` to skip the serial reference pass.
+//! (`APENET_SWEEP_THREADS`). With more than one worker the run is
+//! repeated serially to record the parallel payoff in
+//! `BENCH_repro_all.json`; set `APENET_REPRO_NO_BASELINE=1` to skip the
+//! serial reference pass. With one worker the only pass already is the
+//! serial run, and the file records it once.
 
 use apenet_bench::{figs, sweep};
 use apenet_sim::engine;
@@ -108,29 +110,20 @@ fn main() {
     // registry on drop; the delta across the parallel pass is exactly
     // what this run contributed.
     let links0 = apenet_obs::global().counters();
-    let (par_s, par_ev, par_workers) = run_all("parallel");
+    let tag = if threads > 1 { "parallel" } else { "serial" };
+    let (par_s, par_ev, par_workers) = run_all(tag);
     let links = apenet_obs::global().counters().delta_since(&links0);
     let par_eps = par_ev as f64 / par_s.max(1e-9);
     eprintln!(
-        "[repro-all] parallel ({threads} threads): {par_ev} events in {par_s:.1}s \
+        "[repro-all] {tag} ({threads} threads): {par_ev} events in {par_s:.1}s \
          ({par_eps:.0} events/s) -> results/"
     );
 
-    let baseline = std::env::var_os("APENET_REPRO_NO_BASELINE").is_none();
-    let degenerate = threads == 1;
+    // With one worker the pass above ran the serial inline path of
+    // sweep::map: a second pass would only measure first-pass cold start
+    // (heap growth, page faults) against a warm heap.
+    let baseline = threads > 1 && std::env::var_os("APENET_REPRO_NO_BASELINE").is_none();
     let serial = baseline.then(|| {
-        if degenerate {
-            // With one worker the parallel pass already ran the identical
-            // inline path in sweep::map: a second pass would measure
-            // first-pass cold start (heap growth, page faults) against a
-            // warm heap and record a bogus sub-1.0 "speedup". Reuse the
-            // only pass as its own serial reference and flag the record.
-            eprintln!(
-                "[repro-all] note: 1 sweep worker — serial pass reuses the \
-                 parallel pass, speedup is degenerate by definition"
-            );
-            return (par_s, par_ev, par_eps, par_workers.clone());
-        }
         sweep::set_threads(1);
         let (ser_s, ser_ev, ser_workers) = run_all("serial");
         sweep::set_threads(0);
@@ -147,7 +140,7 @@ fn main() {
     json.push_str(&format!("  \"threads\": {threads},\n"));
     json.push_str(&format!("  \"link_reliability\": {},\n", link_json(&links)));
     json.push_str(&format!(
-        "  \"parallel\": {{\"wall_s\": {par_s:.3}, \"events\": {par_ev}, \"events_per_sec\": {par_eps:.1}, \
+        "  \"{tag}\": {{\"wall_s\": {par_s:.3}, \"events\": {par_ev}, \"events_per_sec\": {par_eps:.1}, \
          \"threads_detail\": {}}}",
         threads_json(&par_workers)
     ));
@@ -158,10 +151,7 @@ fn main() {
              \"threads_detail\": {}}},\n",
             threads_json(&ser_workers)
         ));
-        json.push_str(&format!(
-            "  \"speedup\": {:.3},\n  \"degenerate\": {degenerate}\n",
-            ser_s / par_s.max(1e-9)
-        ));
+        json.push_str(&format!("  \"speedup\": {:.3}\n", ser_s / par_s.max(1e-9)));
     } else {
         json.push('\n');
     }

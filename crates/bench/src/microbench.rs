@@ -430,8 +430,10 @@ fn frag_benches(h: &mut Harness) {
 
 fn app_benches(h: &mut Harness) {
     use apenet_apps::bfs::csr::Csr;
-    use apenet_apps::bfs::{rmat, seq};
+    use apenet_apps::bfs::dist::{Partition, Traversal};
+    use apenet_apps::bfs::{self, rmat, run_ib, seq, BfsConfig};
     use apenet_apps::hsg::lattice::Slab;
+    use apenet_ib::IbConfig;
 
     let l = 32;
     h.bench("hsg_overrelax_sweep_32cubed", move || {
@@ -453,6 +455,23 @@ fn app_benches(h: &mut Harness) {
     let edges = rmat::generate_with(16, 16, 500, false);
     h.bench("csr_build_scale16", move || {
         Csr::build(1 << 16, &edges).undirected_edges()
+    });
+    // The IB baseline at the benchmark's scale: a traversal build, and
+    // the timing replay over a cached one.
+    let cfg = BfsConfig {
+        scale: 16,
+        ..BfsConfig::paper(8)
+    };
+    let g = bfs::graph(&cfg);
+    let part = Partition {
+        n: g.n(),
+        np: cfg.np,
+    };
+    h.bench("bfs_traversal_scale16_np8", || {
+        Traversal::build(&g, part, cfg.root).traversed_edges
+    });
+    h.bench("bfs_ib_scale16_np8", || {
+        run_ib(&cfg, IbConfig::cluster_ii()).wall
     });
 }
 
