@@ -169,6 +169,7 @@ impl Harness {
 pub fn run_all(h: &mut Harness) {
     engine_benches(h);
     fabric_benches(h);
+    mem_benches(h);
     frag_benches(h);
     app_benches(h);
     tail_benches(h);
@@ -372,6 +373,54 @@ fn fabric_benches(h: &mut Harness) {
         )
         .bandwidth
     });
+}
+
+/// The simulated memory's byte path: a staged `cudaMemcpy` round trip
+/// between persistent memories, whose whole chunks move by reference,
+/// and one small seeded chaos ring, whose delivered fragments land as
+/// adopted chunks instead of fresh zero-filled pages. The annotated
+/// scalar is the ring's last simulated delivery.
+fn mem_benches(h: &mut Harness) {
+    use apenet_cluster::harness::{chaos_run, ChaosParams};
+    use apenet_cluster::presets::{cluster_i_chaos, cluster_i_dims};
+    use apenet_gpu::mem::Memory;
+    use apenet_gpu::uva::HOST_BASE;
+    use apenet_gpu::{CudaDevice, GpuArch, GpuId, HOST_PAGE_SIZE};
+    use apenet_sim::fault::FaultSpec;
+    use apenet_sim::SimTime;
+
+    const LEN: u64 = 1 << 20;
+    let mut dev = CudaDevice::new(GpuId(0), GpuArch::Fermi2050);
+    let mut host = Memory::new(HOST_BASE, 4 * LEN, HOST_PAGE_SIZE);
+    let d = dev.malloc(LEN).expect("device alloc");
+    let hbuf = host.alloc(LEN).expect("host alloc");
+    let data: Vec<u8> = (0..LEN).map(|i| (i % 251) as u8).collect();
+    dev.mem.write(d, &data).expect("in range");
+    h.bench("staged_memcpy_1m", || {
+        let down = dev
+            .memcpy_d2h_sync(SimTime::ZERO, &mut host, hbuf, d, LEN)
+            .expect("in range");
+        dev.memcpy_h2d_sync(down.host_free, &host, d, hbuf, LEN)
+            .expect("in range")
+            .host_free
+    });
+
+    let mut last_ps = 0u64;
+    h.bench("chaos_ring_4x2_16x64k", || {
+        let r = chaos_run(
+            cluster_i_dims(),
+            cluster_i_chaos(1, FaultSpec::chaos(0.01)),
+            ChaosParams {
+                msgs_per_rank: 16,
+                msg_len: 64 << 10,
+                watchdog_reissue: true,
+            },
+        );
+        assert!(r.payload_ok && r.delivered == r.expected);
+        last_ps = r.last_delivery.since(SimTime::ZERO).as_ps();
+        r.retransmits
+    });
+    h.annotate_p99("chaos_ring_4x2_16x64k", last_ps);
 }
 
 /// Fragment a 4 MB message the fabric's way (refcounted slice views)

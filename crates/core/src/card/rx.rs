@@ -156,7 +156,7 @@ impl Card {
                     self.shared
                         .hostmem
                         .borrow_mut()
-                        .write(packet.dst_vaddr, packet.payload())
+                        .write_payload(packet.dst_vaddr, packet.payload())
                         .expect("registered RX buffer is in range");
                 }
                 st.arrive
@@ -166,7 +166,7 @@ impl Card {
                 let wend = cuda.p2p.absorb_write(nios_done, packet.dst_vaddr, len);
                 if len > 0 {
                     cuda.mem
-                        .write(packet.dst_vaddr, packet.payload())
+                        .write_payload(packet.dst_vaddr, packet.payload())
                         .expect("registered RX buffer is in range");
                 }
                 st.arrive.max(wend)

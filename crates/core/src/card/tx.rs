@@ -368,9 +368,9 @@ impl Card {
     }
 
     /// Borrow `len` bytes of the job's source buffer as a refcounted
-    /// slice. Packet fragments are ≤ 4 KB at page-aligned offsets within a
-    /// page-aligned allocation, so this shares the backing page and copies
-    /// nothing on the clean TX path.
+    /// slice. Packet fragments are ≤ 4 KB at 4 KB offsets from the
+    /// message start, so from a chunk-aligned source this shares the
+    /// backing memory chunk and copies nothing on the clean TX path.
     fn read_source(&self, job: &TxJob, offset: u64, len: u32) -> PayloadSlice {
         let addr = job.desc.src_addr + offset;
         match job.desc.src_kind {

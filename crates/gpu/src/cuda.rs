@@ -156,8 +156,9 @@ impl CudaDevice {
         *tail = (*tail).max(at);
     }
 
-    /// Synchronous `cudaMemcpy` device-to-host: copies real bytes and
-    /// blocks the host for the transfer plus the measured ~10 µs overhead.
+    /// Synchronous `cudaMemcpy` device-to-host: moves real bytes (sharing
+    /// whole aligned chunks, see [`Memory::copy_from`]) and blocks the
+    /// host for the transfer plus the measured ~10 µs overhead.
     pub fn memcpy_d2h_sync(
         &mut self,
         now: SimTime,
@@ -166,8 +167,7 @@ impl CudaDevice {
         src_dev: u64,
         len: u64,
     ) -> Result<MemcpyDone, MemError> {
-        let data = self.mem.read_payload(src_dev, len)?;
-        host.write(dst_host, &data)?;
+        host.copy_from(dst_host, &self.mem, src_dev, len)?;
         let t: DmaTransfer = self.dma_d2h.transfer(now, len);
         let host_free = t.end + SYNC_D2H_OVERHEAD;
         Ok(MemcpyDone {
@@ -180,13 +180,12 @@ impl CudaDevice {
     pub fn memcpy_h2d_sync(
         &mut self,
         now: SimTime,
-        host: &mut Memory,
+        host: &Memory,
         dst_dev: u64,
         src_host: u64,
         len: u64,
     ) -> Result<MemcpyDone, MemError> {
-        let data = host.read_payload(src_host, len)?;
-        self.mem.write(dst_dev, &data)?;
+        self.mem.copy_from(dst_dev, host, src_host, len)?;
         let t = self.dma_h2d.transfer(now, len);
         let host_free = t.end + SYNC_H2D_OVERHEAD;
         Ok(MemcpyDone {
@@ -206,8 +205,7 @@ impl CudaDevice {
         src_dev: u64,
         len: u64,
     ) -> Result<MemcpyDone, MemError> {
-        let data = self.mem.read_payload(src_dev, len)?;
-        host.write(dst_host, &data)?;
+        host.copy_from(dst_host, &self.mem, src_dev, len)?;
         let ready = now.max(self.streams[stream.0]);
         let t = self.dma_d2h.transfer(ready, len);
         self.streams[stream.0] = t.end;
@@ -229,8 +227,7 @@ impl CudaDevice {
         src_addr: u64,
         len: u64,
     ) -> Result<MemcpyDone, MemError> {
-        let data = src.mem.read_payload(src_addr, len)?;
-        dst.mem.write(dst_addr, &data)?;
+        dst.mem.copy_from(dst_addr, &src.mem, src_addr, len)?;
         let push = src.dma_d2h.transfer(now, len);
         let absorbed = dst.p2p.absorb_write(push.start, dst_addr, len);
         let done = push.end.max(absorbed);
@@ -313,7 +310,7 @@ mod tests {
         let payload2: Vec<u8> = payload.iter().map(|b| b ^ 0xFF).collect();
         host.write(h, &payload2).unwrap();
         let done2 = dev
-            .memcpy_h2d_sync(done.host_free, &mut host, d, h, 8192)
+            .memcpy_h2d_sync(done.host_free, &host, d, h, 8192)
             .unwrap();
         assert_eq!(dev.mem.read_vec(d, 8192).unwrap(), payload2);
         assert!(done2.host_free > done.host_free);

@@ -7,8 +7,10 @@
 //! replaces it: an `Arc`-backed buffer plus a byte range, so
 //!
 //! * fragmentation is a refcount bump + range narrowing,
-//! * integrity checks and RX delivery read the borrowed slice in place,
-//! * mutation (fault injection, writes to a shared memory page) is
+//! * integrity checks read the borrowed slice in place,
+//! * RX delivery of a full-size fragment hands its buffer to the
+//!   destination memory by reference ([`PayloadSlice::whole_buffer`]),
+//! * mutation (fault injection, writes to a shared memory chunk) is
 //!   copy-on-write of only the aliased bytes.
 //!
 //! A slice can be sealed ([`PayloadSlice::seal`]) without hashing
@@ -151,6 +153,12 @@ impl PayloadSlice {
         self.start == 0 && self.len == self.buf.len() && Arc::strong_count(&self.buf) == 1
     }
 
+    /// The backing buffer, when this slice views all of it: what a
+    /// memory model can adopt by reference instead of copying the bytes.
+    pub fn whole_buffer(&self) -> Option<&Arc<[u8]>> {
+        (self.start == 0 && self.len == self.buf.len()).then_some(&self.buf)
+    }
+
     /// Take the current bytes as the reference that
     /// [`Self::unchanged_since_seal`] checks against. Hashes nothing.
     pub fn seal(&mut self) {
@@ -287,6 +295,15 @@ mod tests {
         assert_eq!(copied_bytes(), base + 16, "only the fragment copied");
         assert_eq!(frag.len(), 16);
         assert_eq!(whole.as_slice()[1024 + 15], 7);
+    }
+
+    #[test]
+    fn whole_buffer_only_for_a_full_view() {
+        let whole = PayloadSlice::from_vec(vec![1u8; 64]);
+        let buf = whole.whole_buffer().expect("views all of its buffer");
+        assert!(Arc::ptr_eq(buf, &whole.clone().buf));
+        assert!(whole.narrow(0, 32).whole_buffer().is_none());
+        assert!(whole.narrow(0, 64).whole_buffer().is_some());
     }
 
     #[test]

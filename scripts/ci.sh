@@ -74,6 +74,14 @@ cargo run --release --offline -q -p apenet-bench --bin table4
 cargo run --release --offline -q -p apenet-bench --bin fig12
 git diff --exit-code -- results/table4.txt results/fig12.txt
 
+echo "==> fig04, fig11, table1 (GPU read bandwidth, HSG halo exchange, loop-back bandwidths; match committed)"
+# fig11's halo exchange rewrites GPU send-slot chunks that a receiver
+# adopted: the memory model's replace-when-shared whole-chunk write.
+cargo run --release --offline -q -p apenet-bench --bin fig04
+cargo run --release --offline -q -p apenet-bench --bin fig11
+cargo run --release --offline -q -p apenet-bench --bin table1
+git diff --exit-code -- results/fig04.txt results/fig11.txt results/table1.txt
+
 echo "==> scheduler equivalence (calendar queue vs heap model, debug assertions on)"
 # The test profile keeps debug_assert! live, so the calendar's internal
 # invariants (floor monotonicity, cache coherence) are checked on every
