@@ -6,7 +6,9 @@
 //! repeated serially to record the parallel payoff in
 //! `BENCH_repro_all.json`; set `APENET_REPRO_NO_BASELINE=1` to skip the
 //! serial reference pass. With one worker the only pass already is the
-//! serial run, and the file records it once.
+//! serial run, and the file records it once. Each pass record carries
+//! the process's peak resident set size at the end of that pass
+//! (`peak_rss_mb`, from `VmHWM`; `null` where `/proc` is unavailable).
 
 use apenet_bench::{figs, sweep};
 use apenet_sim::engine;
@@ -82,6 +84,17 @@ fn link_json(t: &apenet_obs::CounterSnapshot) -> String {
     )
 }
 
+/// This process's peak resident set size so far in MB (`VmHWM` in
+/// `/proc/self/status`), as JSON: `null` when it cannot be read.
+fn peak_rss_json() -> String {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    let kb = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.trim().strip_suffix("kB")?.trim().parse::<f64>().ok());
+    kb.map_or("null".into(), |kb| format!("{:.1}", kb / 1024.0))
+}
+
 /// One full pass over every experiment; returns (wall seconds, events,
 /// per-worker accounting for this pass).
 fn run_all(tag: &str) -> (f64, u64, Vec<(usize, sweep::ThreadStat)>) {
@@ -112,6 +125,7 @@ fn main() {
     let links0 = apenet_obs::global().counters();
     let tag = if threads > 1 { "parallel" } else { "serial" };
     let (par_s, par_ev, par_workers) = run_all(tag);
+    let par_rss = peak_rss_json();
     let links = apenet_obs::global().counters().delta_since(&links0);
     let par_eps = par_ev as f64 / par_s.max(1e-9);
     eprintln!(
@@ -126,6 +140,7 @@ fn main() {
     let serial = baseline.then(|| {
         sweep::set_threads(1);
         let (ser_s, ser_ev, ser_workers) = run_all("serial");
+        let ser_rss = peak_rss_json();
         sweep::set_threads(0);
         let ser_eps = ser_ev as f64 / ser_s.max(1e-9);
         eprintln!(
@@ -133,7 +148,7 @@ fn main() {
              parallel speedup x{:.2}",
             ser_s / par_s.max(1e-9)
         );
-        (ser_s, ser_ev, ser_eps, ser_workers)
+        (ser_s, ser_ev, ser_eps, ser_rss, ser_workers)
     });
 
     let mut json = String::from("{\n");
@@ -141,14 +156,14 @@ fn main() {
     json.push_str(&format!("  \"link_reliability\": {},\n", link_json(&links)));
     json.push_str(&format!(
         "  \"{tag}\": {{\"wall_s\": {par_s:.3}, \"events\": {par_ev}, \"events_per_sec\": {par_eps:.1}, \
-         \"threads_detail\": {}}}",
+         \"peak_rss_mb\": {par_rss}, \"threads_detail\": {}}}",
         threads_json(&par_workers)
     ));
-    if let Some((ser_s, ser_ev, ser_eps, ser_workers)) = serial {
+    if let Some((ser_s, ser_ev, ser_eps, ser_rss, ser_workers)) = serial {
         json.push_str(",\n");
         json.push_str(&format!(
             "  \"serial\": {{\"wall_s\": {ser_s:.3}, \"events\": {ser_ev}, \"events_per_sec\": {ser_eps:.1}, \
-             \"threads_detail\": {}}},\n",
+             \"peak_rss_mb\": {ser_rss}, \"threads_detail\": {}}},\n",
             threads_json(&ser_workers)
         ));
         json.push_str(&format!("  \"speedup\": {:.3}\n", ser_s / par_s.max(1e-9)));

@@ -23,6 +23,7 @@ use crate::node::NodeConfig;
 use crate::planes::{Planes, RunArtifacts};
 use apenet_core::config::TxSinkMode;
 use apenet_core::coord::{Coord, TorusDims};
+use apenet_gpu::mem::{MemError, Memory, CHUNK_SIZE};
 use apenet_obs::report::RunReport;
 use apenet_obs::slo::SloConfig;
 use apenet_obs::{CounterSnapshot, Registry};
@@ -31,6 +32,7 @@ use apenet_rdma::completion::CompletionError;
 use apenet_rdma::pacing::{self, Pacer, PacerConfig};
 use apenet_rdma::signal::{self, SendQueue, SignalConfig};
 use apenet_rdma::staging::{staged_put, staged_recv_finish};
+use apenet_sim::bytes::PayloadSlice;
 use apenet_sim::profile::SimProfile;
 use apenet_sim::trace::TraceRecord;
 use apenet_sim::{Bandwidth, SimDuration, SimTime};
@@ -78,13 +80,89 @@ fn alloc_buf(node: &NodeCtx, side: BufSide, len: u64) -> u64 {
     }
 }
 
+/// Fill `len` bytes at `addr` with the benchmark stream of `seed`.
 fn fill_buf(node: &NodeCtx, side: BufSide, addr: u64, len: u64, seed: u8) {
-    let data: Vec<u8> = (0..len)
-        .map(|i| (i as u8).wrapping_mul(31) ^ seed)
-        .collect();
+    let tile = Tile::new(|i| (i as u8).wrapping_mul(31) ^ seed);
     match side {
-        BufSide::Host => node.hostmem.borrow_mut().write(addr, &data).unwrap(),
-        BufSide::Gpu => node.cuda[0].borrow_mut().mem.write(addr, &data).unwrap(),
+        BufSide::Host => tile.fill(&mut node.hostmem.borrow_mut(), addr, len),
+        BufSide::Gpu => tile.fill(&mut node.cuda[0].borrow_mut().mem, addr, len),
+    }
+    .expect("a benchmark fills only its own allocation");
+}
+
+/// Every harness payload stream reads its byte offset only through
+/// `off as u8`, so it repeats every 256 bytes.
+const STREAM_PERIOD: u64 = 256;
+
+const _: () = assert!(
+    CHUNK_SIZE.is_multiple_of(STREAM_PERIOD),
+    "a chunk must hold whole stream periods for one tile to stand for every chunk"
+);
+
+/// One [`CHUNK_SIZE`] period of a payload stream, which repeats every
+/// [`STREAM_PERIOD`] bytes. Every chunk-aligned chunk of a stream holds
+/// these bytes, so a filled region shares this one buffer, and a check
+/// compares memory against it in place.
+struct Tile(PayloadSlice);
+
+impl Tile {
+    /// The tile of the stream whose byte at offset `off` is `byte(off)`.
+    fn new(byte: impl Fn(u64) -> u8) -> Self {
+        Tile(PayloadSlice::from_vec((0..CHUNK_SIZE).map(byte).collect()))
+    }
+
+    /// The tile of `src_rank`'s chaos stream.
+    fn chaos(src_rank: u32) -> Self {
+        Tile::new(|off| chaos_byte(src_rank, off))
+    }
+
+    /// Write the stream's first `len` bytes at `addr`. Each whole chunk
+    /// at a chunk-aligned offset adopts the tile by reference; unaligned
+    /// or partial edges are written as bytes (the rule of
+    /// [`Memory::copy_from`]).
+    fn fill(&self, mem: &mut Memory, addr: u64, len: u64) -> Result<(), MemError> {
+        if !mem.contains(addr, len) {
+            return Err(MemError::OutOfRange);
+        }
+        let mut done = 0;
+        while done < len {
+            let at = addr + done;
+            let (s, n) = Tile::piece(done, len - done);
+            if n == CHUNK_SIZE && (at - mem.base()).is_multiple_of(CHUNK_SIZE) {
+                mem.write_payload(at, &self.0)?;
+            } else {
+                mem.write(at, &self.0[s..s + n as usize])?;
+            }
+            done += n;
+        }
+        Ok(())
+    }
+
+    /// True when the `len` bytes at `addr` hold the stream from offset
+    /// `stream_off`, every byte compared in place.
+    fn matches(
+        &self,
+        mem: &Memory,
+        addr: u64,
+        stream_off: u64,
+        len: u64,
+    ) -> Result<bool, MemError> {
+        let mut done = 0;
+        while done < len {
+            let (s, n) = Tile::piece(stream_off + done, len - done);
+            if !mem.eq_at(addr + done, &self.0[s..s + n as usize])? {
+                return Ok(false);
+            }
+            done += n;
+        }
+        Ok(true)
+    }
+
+    /// Where stream offset `off` falls in the tile, and how many of the
+    /// `left` bytes from there lie before the tile wraps.
+    fn piece(off: u64, left: u64) -> (usize, u64) {
+        let s = off % CHUNK_SIZE;
+        (s as usize, (CHUNK_SIZE - s).min(left))
     }
 }
 
@@ -969,19 +1047,12 @@ struct ChaosRank {
 }
 
 /// The deterministic payload byte of `(src_rank, byte offset)` — the
-/// whole TX region of one rank is one stream of these.
+/// whole TX region of one rank is one stream of these ([`Tile::chaos`]).
 fn chaos_byte(src_rank: u32, off: u64) -> u8 {
     (off as u8)
         .wrapping_mul(31)
         .wrapping_add((src_rank as u8).wrapping_mul(97))
         ^ 0x5A
-}
-
-/// `len` bytes of `src_rank`'s stream from byte offset `off`: what a
-/// region or a delivered slot must hold, built once so a check is one
-/// slice comparison.
-fn chaos_bytes(src_rank: u32, off: u64, len: u64) -> Vec<u8> {
-    (off..off + len).map(|o| chaos_byte(src_rank, o)).collect()
 }
 
 impl HostProgram for ChaosRank {
@@ -994,8 +1065,9 @@ impl HostProgram for ChaosRank {
         let tx_buf = node.cuda[0].borrow_mut().malloc(region).unwrap();
         node.ep.register(rx_buf, region).unwrap();
         node.ep.register(tx_buf, region).unwrap();
-        let data = chaos_bytes(self.rank, 0, region);
-        node.cuda[0].borrow_mut().mem.write(tx_buf, &data).unwrap();
+        Tile::chaos(self.rank)
+            .fill(&mut node.cuda[0].borrow_mut().mem, tx_buf, region)
+            .expect("the TX region is this rank's own allocation");
         for i in 0..self.msgs {
             let (off, len, peer) = (i as u64 * self.msg_len, self.msg_len, self.peer);
             let (msg, desc, host_cost) = if self.get {
@@ -1197,44 +1269,42 @@ fn chaos_impl(
     let mut payload_ok = true;
     let sh = shared.borrow();
     if region > 0 {
+        // Every delivered slot, keyed by the rank that issued its
+        // message and the slot's address on the rank that holds it.
+        let delivered_slots: std::collections::HashSet<(u32, u64)> = sh
+            .descs
+            .iter()
+            .filter(|(m, _)| sh.delivered.contains(m))
+            .map(|(m, desc)| match desc {
+                ChaosDesc::Put(t) => (m.src_rank, t.dst_vaddr),
+                ChaosDesc::Get(g) => (m.src_rank, g.local_vaddr),
+            })
+            .collect();
         for d in 0..n {
-            // PUT: rank d receives from its ring predecessor. GET: rank
-            // d pulled from its ring successor.
-            let src = if is_get {
-                (d + 1) % n
+            // PUT: rank d receives from its ring predecessor, which
+            // issued the message. GET: rank d pulled from its ring
+            // successor and issued the message itself.
+            let (src, issuer) = if is_get {
+                ((d + 1) % n, d)
             } else {
-                ((d + n) - 1) % n
+                let pred = (d + n - 1) % n;
+                (pred, pred)
             };
-            let host = cluster.host(d);
-            let rx_buf = {
-                // Same deterministic allocation order as the rank
-                // programs' start(): the RX region is the first GPU
-                // allocation.
-                let gpu_base = host.node.cuda[0].borrow().mem.base();
-                gpu_base
-            };
+            let tile = Tile::chaos(src as u32);
+            let mem = &cluster.host(d).node.cuda[0];
+            let mem = &mem.borrow().mem;
+            // Same deterministic allocation order as the rank programs'
+            // start(): the RX region is the first GPU allocation.
+            let rx_buf = mem.base();
             // Only fully-delivered slots are checked: with recovery
             // disabled, lost messages leave their slots unwritten.
             for i in 0..p.msgs_per_rank {
-                let slot = rx_buf + i as u64 * p.msg_len;
-                let msg_delivered = sh.descs.iter().any(|(m, desc)| match desc {
-                    ChaosDesc::Put(t) => {
-                        m.src_rank == src as u32 && t.dst_vaddr == slot && sh.delivered.contains(m)
-                    }
-                    ChaosDesc::Get(g) => {
-                        m.src_rank == d as u32 && g.local_vaddr == slot && sh.delivered.contains(m)
-                    }
-                });
-                if !msg_delivered {
-                    continue;
-                }
                 let off = i as u64 * p.msg_len;
-                let got = host.node.cuda[0]
-                    .borrow_mut()
-                    .mem
-                    .read_vec(rx_buf + off, p.msg_len)
-                    .unwrap();
-                payload_ok &= got == chaos_bytes(src as u32, off, p.msg_len);
+                if delivered_slots.contains(&(issuer as u32, rx_buf + off)) {
+                    payload_ok &= tile
+                        .matches(mem, rx_buf + off, off, p.msg_len)
+                        .expect("RX slots lie in the RX region");
+                }
             }
         }
     }
@@ -1551,12 +1621,9 @@ impl HostProgram for IncastSender {
             IncastVerb::Put => {
                 // This rank's stream lives in buffer B; fill and map it.
                 node.ep.register(self.tx_buf, region_b).unwrap();
-                let data = chaos_bytes(self.rank, 0, region_b);
-                node.cuda[0]
-                    .borrow_mut()
-                    .mem
-                    .write(self.tx_buf, &data)
-                    .unwrap();
+                Tile::chaos(self.rank)
+                    .fill(&mut node.cuda[0].borrow_mut().mem, self.tx_buf, region_b)
+                    .expect("buffer B is this rank's own allocation");
             }
             IncastVerb::Get => {
                 // Replies land in this rank's buffer A prefix.
@@ -1614,8 +1681,9 @@ impl HostProgram for IncastTarget {
             }
             IncastVerb::Get => {
                 node.ep.register(tx, region_b).unwrap();
-                let data = chaos_bytes(0, 0, region_b);
-                node.cuda[0].borrow_mut().mem.write(tx, &data).unwrap();
+                Tile::chaos(0)
+                    .fill(&mut node.cuda[0].borrow_mut().mem, tx, region_b)
+                    .expect("buffer B is this rank's own allocation");
             }
         }
     }
@@ -1747,25 +1815,22 @@ pub fn incast_run_with(
     // Byte-exact verification of every delivered slot.
     let sh = shared.borrow();
     let mut payload_ok = true;
+    let delivered = sh.descs.iter().filter(|(m, _)| sh.delivered.contains(m));
     match p.verb {
         IncastVerb::Put => {
             // Rank 0's buffer A holds sender blocks; slot (s, i) must
             // carry sender s's stream at offset i·msg_len.
-            let rx = cluster.host(0).node.cuda[0].borrow().mem.base();
-            for (m, desc) in sh.descs.iter() {
-                if !sh.delivered.contains(m) {
-                    continue;
-                }
+            let tiles: Vec<Tile> = (0..n as u32).map(Tile::chaos).collect();
+            let mem = &cluster.host(0).node.cuda[0];
+            let mem = &mem.borrow().mem;
+            let rx = mem.base();
+            for (m, desc) in delivered {
                 let ChaosDesc::Put(d) = desc else { continue };
-                let got = cluster.host(0).node.cuda[0]
-                    .borrow_mut()
-                    .mem
-                    .read_vec(d.dst_vaddr, d.len)
-                    .unwrap();
-                let src_off = d.dst_vaddr - rx;
-                let i = (src_off / p.msg_len) % p.msgs_per_sender as u64;
-                let tx_off = i * p.msg_len;
-                payload_ok &= got == chaos_bytes(m.src_rank, tx_off, d.len);
+                let i = ((d.dst_vaddr - rx) / p.msg_len) % p.msgs_per_sender as u64;
+                let tile = &tiles[m.src_rank as usize];
+                payload_ok &= tile
+                    .matches(mem, d.dst_vaddr, i * p.msg_len, d.len)
+                    .expect("a delivered PUT lies in the landing region");
             }
         }
         IncastVerb::Get => {
@@ -1773,20 +1838,15 @@ pub fn incast_run_with(
             // hotspot stream: the slot offset within the requester's
             // landing region equals the stream offset within rank 0's
             // TX region (both are i·msg_len).
-            for (m, desc) in sh.descs.iter() {
-                if !sh.delivered.contains(m) {
-                    continue;
-                }
+            let tile = Tile::chaos(0);
+            for (m, desc) in delivered {
                 let ChaosDesc::Get(g) = desc else { continue };
-                let host = cluster.host(m.src_rank as usize);
-                let base = host.node.cuda[0].borrow().mem.base();
-                let off = g.local_vaddr - base;
-                let got = host.node.cuda[0]
-                    .borrow_mut()
-                    .mem
-                    .read_vec(g.local_vaddr, g.len)
-                    .unwrap();
-                payload_ok &= got == chaos_bytes(0, off, g.len);
+                let mem = &cluster.host(m.src_rank as usize).node.cuda[0];
+                let mem = &mem.borrow().mem;
+                let off = g.local_vaddr - mem.base();
+                payload_ok &= tile
+                    .matches(mem, g.local_vaddr, off, g.len)
+                    .expect("a delivered GET lies in the landing region");
             }
         }
     }
@@ -2008,26 +2068,71 @@ pub fn get_stream_bandwidth(node_cfg: NodeConfig, p: GetStreamParams) -> BwResul
 mod tests {
     use super::*;
 
+    /// A memory the size of a few GPU pages, to fill and check.
+    fn gpu_mem() -> Memory {
+        Memory::new(0x7000_0000_0000, 1 << 20, apenet_gpu::GPU_PAGE_SIZE)
+    }
+
     #[test]
-    fn chaos_bytes_is_the_per_byte_stream() {
-        // Offsets and lengths straddle the stream's 256-byte wrap.
-        for rank in [0, 1, 7, 200, u32::MAX] {
-            for (off, len) in [
+    fn tile_fill_is_the_per_byte_stream() {
+        let seeded = |i: u64| (i as u8).wrapping_mul(31) ^ 0x5A;
+        let (rank0, rank7) = (|o| chaos_byte(0, o), |o| chaos_byte(7, o));
+        let rank_max = |o| chaos_byte(u32::MAX, o);
+        let streams: [(Tile, &dyn Fn(u64) -> u8); 4] = [
+            (Tile::new(seeded), &seeded),
+            (Tile::chaos(0), &rank0),
+            (Tile::chaos(7), &rank7),
+            (Tile::chaos(u32::MAX), &rank_max),
+        ];
+        // Lengths and offsets straddle the stream's 256-byte wrap and
+        // the tile's chunk edges; an unaligned start writes every byte.
+        for (tile, byte) in &streams {
+            for (at, len) in [
                 (0, 0),
                 (0, 1),
-                (0, 256),
-                (250, 20),
-                (255, 2),
-                (4096, 1000),
-                (511, 777),
+                (0, 255),
+                (0, CHUNK_SIZE),
+                (0, 3 * CHUNK_SIZE + 777),
+                (CHUNK_SIZE, 2 * CHUNK_SIZE),
+                (1, CHUNK_SIZE),
+                (511, 2 * CHUNK_SIZE + 13),
             ] {
-                let got = chaos_bytes(rank, off, len);
-                assert_eq!(got.len() as u64, len);
-                for (j, &b) in got.iter().enumerate() {
-                    let o = off + j as u64;
-                    assert_eq!(b, chaos_byte(rank, o), "rank {rank} offset {o}");
-                }
+                let mut mem = gpu_mem();
+                let addr = mem.base() + at;
+                tile.fill(&mut mem, addr, len).unwrap();
+                let got = mem.read_vec(addr, len).unwrap();
+                let want: Vec<u8> = (0..len).map(byte).collect();
+                assert_eq!(got, want, "fill at +{at}, {len} bytes");
+                assert_eq!(mem.read_vec(addr + len, 1).unwrap(), [0], "fill overran");
+                assert!(tile.matches(&mem, addr, 0, len).unwrap());
             }
         }
+    }
+
+    #[test]
+    fn tile_matches_every_delivered_byte() {
+        let tile = Tile::chaos(3);
+        let mut mem = gpu_mem();
+        let base = mem.base();
+        tile.fill(&mut mem, base, 8 * CHUNK_SIZE).unwrap();
+        // A delivered slot at an offset inside the stream: right offset
+        // matches, a shifted one does not.
+        let (slot, len) = (base + 2 * CHUNK_SIZE + 100, 3 * CHUNK_SIZE);
+        let off = slot - base;
+        assert!(tile.matches(&mem, slot, off, len).unwrap());
+        assert!(!tile.matches(&mem, slot, off + 1, len).unwrap());
+        // One flipped byte anywhere in the slot fails the check, while
+        // the chunks around it still share the tile's buffer.
+        for at in [0, CHUNK_SIZE - 100, len / 2, len - 1] {
+            let mut m = gpu_mem();
+            tile.fill(&mut m, base, 8 * CHUNK_SIZE).unwrap();
+            let b = m.read_vec(slot + at, 1).unwrap()[0];
+            m.write(slot + at, &[b ^ 0x10]).unwrap();
+            assert!(!tile.matches(&m, slot, off, len).unwrap(), "flip at +{at}");
+        }
+        assert_eq!(
+            tile.matches(&mem, base + (1 << 20) - 8, 0, 16),
+            Err(MemError::OutOfRange)
+        );
     }
 }

@@ -28,6 +28,12 @@ pub const APE_MAX_PAYLOAD: u32 = 4096;
 /// destination coordinates, 64-bit destination address, size, CRC).
 pub const APE_PACKET_OVERHEAD: u64 = 32;
 
+/// Header bytes [`ApePacket`]'s CRC covers at most: six coordinate
+/// bytes, the message id (4 + 8), the address and length (8 + 8), the
+/// GET discriminator and reply address (1 + 8) and the congestion bits
+/// (2).
+const HEADER_CRC_BYTES: usize = 6 + 12 + 16 + 9 + 2;
+
 /// A message identifier unique per (source node, sequence).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MsgId {
@@ -237,28 +243,35 @@ impl ApePacket {
     /// corruption the tests inject; the real card uses link-level CRC
     /// blocks in the Stratix transceivers.
     fn header_crc(&self) -> u32 {
-        let mut crc = Crc32::new();
-        crc.update(&[
+        // The header bytes are packed into one buffer and fed in one
+        // update: byte for byte the stream a per-field CRC would hash.
+        let mut buf = [0u8; HEADER_CRC_BYTES];
+        let mut n = 0;
+        let mut put = |bytes: &[u8]| {
+            buf[n..n + bytes.len()].copy_from_slice(bytes);
+            n += bytes.len();
+        };
+        put(&[
             self.dst.x, self.dst.y, self.dst.z, self.src.x, self.src.y, self.src.z,
         ]);
-        crc.update(&self.msg.src_rank.to_le_bytes());
-        crc.update(&self.msg.seq.to_le_bytes());
-        crc.update(&self.dst_vaddr.to_le_bytes());
-        crc.update(&self.msg_len.to_le_bytes());
+        put(&self.msg.src_rank.to_le_bytes());
+        put(&self.msg.seq.to_le_bytes());
+        put(&self.dst_vaddr.to_le_bytes());
+        put(&self.msg_len.to_le_bytes());
         // The GET discriminator and reply address are header bits too: a
         // corrupted read-request must fail verification, never silently
         // turn into (or out of) a write.
         match self.get {
-            None => crc.update(&[0]),
+            None => put(&[0]),
             Some(g) => {
-                crc.update(&[1]);
-                crc.update(&g.reply_vaddr.to_le_bytes());
+                put(&[1]);
+                put(&g.reply_vaddr.to_le_bytes());
             }
         }
         // The congestion bits are header bits too: corruption must not
         // forge a mark, erase one, or turn a data frame into a CNP.
-        crc.update(&[self.ecn as u8, self.cnp as u8]);
-        crc.finish()
+        put(&[self.ecn as u8, self.cnp as u8]);
+        Crc32::of(&buf[..n])
     }
 
     /// Verify integrity: the header matches its CRC and the payload
@@ -376,6 +389,48 @@ mod tests {
         let mut w2 = w.clone();
         w2.get = Some(GetHeader { reply_vaddr: 0 });
         assert!(!w2.verify(), "write must not decay into a GET request");
+    }
+
+    /// The header CRC fed field by field, one update per field.
+    fn per_field_crc(p: &ApePacket) -> u32 {
+        let mut crc = Crc32::new();
+        crc.update(&[p.dst.x, p.dst.y, p.dst.z, p.src.x, p.src.y, p.src.z]);
+        crc.update(&p.msg.src_rank.to_le_bytes());
+        crc.update(&p.msg.seq.to_le_bytes());
+        crc.update(&p.dst_vaddr.to_le_bytes());
+        crc.update(&p.msg_len.to_le_bytes());
+        match p.get {
+            None => crc.update(&[0]),
+            Some(g) => {
+                crc.update(&[1]);
+                crc.update(&g.reply_vaddr.to_le_bytes());
+            }
+        }
+        crc.update(&[p.ecn as u8, p.cnp as u8]);
+        crc.finish()
+    }
+
+    #[test]
+    fn packed_header_crc_equals_the_per_field_crc() {
+        use apenet_sim::check;
+        check::cases("packed header crc", 256, |g| {
+            let mut coord = || Coord::new(g.byte(), g.byte(), g.byte());
+            let (dst, src) = (coord(), coord());
+            let word = |g: &mut check::Gen| g.u64(0, u64::MAX) ^ (g.u64(0, 2) << 63);
+            let msg = MsgId {
+                src_rank: g.u32(0, u32::MAX),
+                seq: word(g),
+            };
+            let (addr, len, reply) = (word(g), word(g), word(g));
+            let mut p = if g.chance(0.5) {
+                ApePacket::get_request(dst, src, msg, addr, len, reply)
+            } else {
+                ApePacket::new(dst, src, msg, addr, len, g.bytes(0, 64))
+            };
+            p.ecn = g.chance(0.5);
+            p.cnp = g.chance(0.5);
+            assert_eq!(p.header_crc(), per_field_crc(&p), "{p:?}");
+        });
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //! * [`Memory::write_payload`] adopts a payload that is exactly one whole
 //!   chunk, and [`Memory::copy_from`] shares every whole aligned chunk of
 //!   another memory, copying only the partial edges;
-//! * a partial write to a chunk still aliased elsewhere copies it first.
+//! * a partial write to a chunk still aliased elsewhere copies it first;
+//! * [`Memory::eq_at`] compares bytes in place, copying nothing.
 //!
 //! Every byte read back is the same as with private copies; only
 //! ownership differs. A write to either side of a shared chunk replaces
@@ -26,6 +27,7 @@
 use apenet_sim::bytes::{self, PayloadSlice};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Backing granularity in bytes: the unit of lazy materialization,
@@ -206,23 +208,18 @@ impl Memory {
         if !self.contains(addr, data.len() as u64) {
             return Err(MemError::OutOfRange);
         }
-        let mut off = (addr - self.base) as usize;
-        let mut src = data;
-        while !src.is_empty() {
-            let (idx, at) = (off / CHUNK, off % CHUNK);
-            let n = (CHUNK - at).min(src.len());
-            if n == CHUNK {
+        for (idx, within, src) in pieces(addr - self.base, data.len()) {
+            let src = &data[src];
+            if src.len() == CHUNK {
                 let slot = self.slot(idx);
                 if let Some(chunk) = slot.as_mut().and_then(Arc::get_mut) {
-                    chunk.copy_from_slice(&src[..n]);
+                    chunk.copy_from_slice(src);
                 } else {
-                    *slot = Some(Arc::from(&src[..n]));
+                    *slot = Some(Arc::from(src));
                 }
             } else {
-                self.chunk_mut(idx)[at..at + n].copy_from_slice(&src[..n]);
+                self.chunk_mut(idx)[within].copy_from_slice(src);
             }
-            src = &src[n..];
-            off += n;
         }
         Ok(())
     }
@@ -294,19 +291,32 @@ impl Memory {
         if !self.contains(addr, out.len() as u64) {
             return Err(MemError::OutOfRange);
         }
-        let mut off = (addr - self.base) as usize;
-        let mut dst = &mut out[..];
-        while !dst.is_empty() {
-            let (idx, at) = (off / CHUNK, off % CHUNK);
-            let n = (CHUNK - at).min(dst.len());
+        for (idx, within, dst) in pieces(addr - self.base, out.len()) {
             match self.chunk(idx) {
-                Some(c) => dst[..n].copy_from_slice(&c[at..at + n]),
-                None => dst[..n].fill(0),
+                Some(c) => out[dst].copy_from_slice(&c[within]),
+                None => out[dst].fill(0),
             }
-            dst = &mut dst[n..];
-            off += n;
         }
         Ok(())
+    }
+
+    /// True when the bytes at UVA `addr` equal `expected`, compared in
+    /// place chunk by chunk: nothing is copied or materialized, and a
+    /// never-written chunk compares as zeros. Every byte is compared,
+    /// also where `expected` and a chunk share one buffer.
+    pub fn eq_at(&self, addr: u64, expected: &[u8]) -> Result<bool, MemError> {
+        if !self.contains(addr, expected.len() as u64) {
+            return Err(MemError::OutOfRange);
+        }
+        Ok(
+            pieces(addr - self.base, expected.len()).all(|(idx, within, want)| {
+                let want = &expected[want];
+                match self.chunk(idx) {
+                    Some(c) => c[within] == *want,
+                    None => want.iter().all(|&b| b == 0),
+                }
+            }),
+        )
     }
 
     /// Read `len` bytes into a fresh vector.
@@ -353,6 +363,22 @@ impl Memory {
         let last = (addr - self.base + len.max(1) - 1) / self.page_size;
         Ok((first..=last).map(|p| p * self.page_size).collect())
     }
+}
+
+/// The chunk pieces of the `len` bytes at offset `off` from a memory's
+/// base, in order: each piece's chunk index, its range within that chunk
+/// and its range within the caller's `len`-byte buffer.
+fn pieces(off: u64, len: usize) -> impl Iterator<Item = (usize, Range<usize>, Range<usize>)> {
+    let off = off as usize;
+    let mut done = 0;
+    std::iter::from_fn(move || {
+        (done < len).then(|| {
+            let (idx, at) = ((off + done) / CHUNK, (off + done) % CHUNK);
+            let n = (CHUNK - at).min(len - done);
+            done += n;
+            (idx, at..at + n, done - n..done)
+        })
+    })
 }
 
 impl fmt::Debug for Memory {
@@ -640,6 +666,68 @@ mod tests {
             dst.copy_from(end - 4, &src, src.base(), 8),
             Err(MemError::OutOfRange)
         );
+    }
+
+    #[test]
+    fn eq_at_compares_every_byte_in_place() {
+        let mut m = mem();
+        let a = m.alloc(64 * 1024).unwrap();
+        let data: Vec<u8> = (0..3 * CHUNK + 100).map(|i| (i % 251) as u8).collect();
+        m.write(a + 7, &data).unwrap();
+        assert_eq!(m.eq_at(a + 7, &data), Ok(true));
+        assert_eq!(m.eq_at(a + 7, &data[..0]), Ok(true));
+        // One differing byte in the first chunk and in the last.
+        for at in [0, data.len() - 1] {
+            let mut wrong = data.clone();
+            wrong[at] ^= 0x40;
+            assert_eq!(m.eq_at(a + 7, &wrong), Ok(false), "byte {at}");
+        }
+    }
+
+    #[test]
+    fn eq_at_checks_a_rewritten_shared_tile() {
+        let mut m = mem();
+        let a = m.alloc(64 * 1024).unwrap();
+        let tile = PayloadSlice::from_vec((0..CHUNK).map(|i| i as u8).collect());
+        for c in 0..4 {
+            m.write_payload(a + c * CHUNK_SIZE, &tile).unwrap();
+        }
+        let stream: Vec<u8> = tile.iter().copied().cycle().take(4 * CHUNK).collect();
+        assert_eq!(m.eq_at(a, &stream), Ok(true));
+        // A chunk rewritten after it was shared still compares byte by
+        // byte, though the other three keep sharing the tile.
+        m.write(a + 2 * CHUNK_SIZE + 9, &[0xEE]).unwrap();
+        assert!(Arc::ptr_eq(
+            chunk_of(&m, a).unwrap(),
+            tile.whole_buffer().unwrap()
+        ));
+        assert_eq!(m.eq_at(a, &stream), Ok(false));
+        let mut rewritten = stream.clone();
+        rewritten[2 * CHUNK + 9] = 0xEE;
+        assert_eq!(m.eq_at(a, &rewritten), Ok(true));
+        assert!(tile.iter().enumerate().all(|(i, &b)| b == i as u8));
+    }
+
+    #[test]
+    fn eq_at_reads_unwritten_chunks_as_zeros_without_materializing() {
+        let mut m = mem();
+        let a = m.alloc(64 * 1024).unwrap();
+        m.write(a + CHUNK_SIZE, &[3u8; 10]).unwrap();
+        let mut want = vec![0u8; 3 * CHUNK];
+        want[CHUNK..CHUNK + 10].fill(3);
+        assert_eq!(m.eq_at(a, &want), Ok(true));
+        want[2 * CHUNK + 1] = 1;
+        assert_eq!(m.eq_at(a, &want), Ok(false));
+        assert!(chunk_of(&m, a).is_none() && chunk_of(&m, a + 2 * CHUNK_SIZE).is_none());
+    }
+
+    #[test]
+    fn eq_at_out_of_range() {
+        let m = mem();
+        let end = m.base() + m.capacity();
+        assert_eq!(m.eq_at(end - 4, &[0u8; 8]), Err(MemError::OutOfRange));
+        assert_eq!(m.eq_at(m.base() - 1, &[0u8; 2]), Err(MemError::OutOfRange));
+        assert_eq!(m.eq_at(end - 4, &[0u8; 4]), Ok(true));
     }
 
     #[test]

@@ -60,6 +60,15 @@ enum Op {
         nth: usize,
         seed: u8,
     },
+    /// Compare a range in place against the model's bytes, or against
+    /// them with the byte at `flip` (modulo the length) changed.
+    EqAt {
+        mem: usize,
+        nth: usize,
+        off: u64,
+        len: u64,
+        flip: Option<u64>,
+    },
 }
 
 /// An offset that is chunk-aligned half the time.
@@ -83,7 +92,7 @@ fn gen_len(g: &mut Gen, max: u64) -> u64 {
 fn gen_op(g: &mut Gen) -> Op {
     let mem = g.usize(0, 2);
     let nth = g.usize(0, 16);
-    match g.u32(0, 10) {
+    match g.u32(0, 11) {
         0 | 1 => Op::Alloc {
             mem,
             len: g.u64(1, 200_000),
@@ -118,9 +127,16 @@ fn gen_op(g: &mut Gen) -> Op {
             src_off: gen_off(g),
             len: gen_len(g, 100_000),
         },
-        _ => Op::MutateHeld {
+        9 => Op::MutateHeld {
             nth,
             seed: g.byte(),
+        },
+        _ => Op::EqAt {
+            mem,
+            nth,
+            off: gen_off(g),
+            len: gen_len(g, 100_000),
+            flip: g.chance(0.5).then(|| g.u64(0, 1 << 20)),
         },
     }
 }
@@ -190,7 +206,8 @@ impl Side {
 /// op — allocs, frees, writes, payload writes, cross-memory copies and
 /// rewrites of held payloads, across any interleaving of page sizes,
 /// alignments and whole or partial chunks — both memories and every
-/// held payload read back exactly as the model says.
+/// held payload read back exactly as the model says. In-place
+/// comparisons agree with the model, and one changed byte fails them.
 #[test]
 fn memory_model_based() {
     check::cases("memory_model_based", 64, |g| {
@@ -311,6 +328,26 @@ fn memory_model_based() {
                         let data = pattern(bytes.len() as u64, seed);
                         payload.make_mut().copy_from_slice(&data);
                         *bytes = data;
+                    }
+                }
+                Op::EqAt {
+                    mem,
+                    nth,
+                    off,
+                    len,
+                    flip,
+                } => {
+                    let side = &mut sides[mem];
+                    if let Some(addr) = side.range(nth, off, len) {
+                        let mut expected = side.model_at(addr, len).to_vec();
+                        if let Some(at) = flip {
+                            expected[(at % len) as usize] ^= 0x01;
+                        }
+                        assert_eq!(
+                            side.mem.eq_at(addr, &expected),
+                            Ok(flip.is_none()),
+                            "eq_at at {addr:#x}+{len}, flip {flip:?}"
+                        );
                     }
                 }
             }
