@@ -38,6 +38,9 @@ fn jobs() -> Vec<(&'static str, fn())> {
         ("sim_profile", figs::sim_profile::run),
         ("congestion_heatmap", figs::congestion_heatmap::run),
         ("tail_attribution", figs::tail_attribution::run),
+        ("degraded_route", figs::degraded_route::run),
+        ("incast_goodput", figs::incast_goodput::run),
+        ("slo_timeline", figs::slo_timeline::run),
     ]
 }
 

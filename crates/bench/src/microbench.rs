@@ -635,33 +635,38 @@ fn overload_benches(h: &mut Harness) {
     h.annotate_p99("incast_collapse_8to1", end_ps);
 }
 
-/// The SLO plane riding a paced 8→1 storm end to end: trace capture,
+/// The SLO plane riding a paced 8→1 storm end to end: the online
 /// ledger fold, tumbling-window digests, budget accounting, and the
-/// alert pass. Wall time tracks the plane's post-run analysis cost; the
+/// alert pass. Wall time tracks the plane's whole cost over the run; the
 /// annotated scalar is the *worst per-window p99* of the storm —
 /// deterministic, and one-sided in the gate, so a pacing or scheduling
 /// regression that fattens even one window's tail fails CI before any
-/// run-level average moves.
+/// run-level average moves. `ledger_fold_incast_8to1` times the fold
+/// alone over one captured storm trace.
 fn slo_benches(h: &mut Harness) {
-    use apenet_cluster::harness::{incast_run_slo, IncastParams, IncastVerb};
+    use apenet_cluster::harness::{incast_run_slo, incast_run_with, IncastParams, IncastVerb};
     use apenet_cluster::presets::{cluster_i_incast, incast_dims};
+    use apenet_cluster::Planes;
+    use apenet_obs::latency::collect_ledgers;
     use apenet_obs::slo::SloConfig;
     use apenet_rdma::pacing::PacerConfig;
+    use apenet_sim::trace::SharedSink;
     use apenet_sim::SimDuration;
 
+    let storm = || IncastParams {
+        senders: 8,
+        msgs_per_sender: 8,
+        msg_len: 16 * 1024,
+        offered: 4,
+        verb: IncastVerb::Put,
+        pacer: Some(PacerConfig::default()),
+    };
     let mut worst_window_p99 = 0u64;
     h.bench("slo_window_incast_8to1", || {
         let (r, mut slo) = incast_run_slo(
             incast_dims(),
             cluster_i_incast(true),
-            IncastParams {
-                senders: 8,
-                msgs_per_sender: 8,
-                msg_len: 16 * 1024,
-                offered: 4,
-                verb: IncastVerb::Put,
-                pacer: Some(PacerConfig::default()),
-            },
+            storm(),
             SloConfig {
                 window: SimDuration::from_us(500),
                 ..SloConfig::default()
@@ -677,6 +682,15 @@ fn slo_benches(h: &mut Harness) {
         slo.alerts.len()
     });
     h.annotate_p99("slo_window_incast_8to1", worst_window_p99);
+
+    let planes = Planes {
+        trace: Some(SharedSink::capturing()),
+        ..Planes::off()
+    };
+    let trace = incast_run_with(incast_dims(), cluster_i_incast(true), storm(), planes)
+        .1
+        .trace;
+    h.bench("ledger_fold_incast_8to1", || collect_ledgers(&trace).len());
 }
 
 #[cfg(test)]

@@ -51,9 +51,9 @@ fn tailed_chaos_run(dims: TorusDims, cfg: NodeConfig, p: ChaosParams) -> (ChaosR
 fn tail_plane_is_invisible_to_the_chaos_report() {
     // Clean and chaos-plus-kill regimes, with and without the plane:
     // the chaos report must be identical field for field. The tail
-    // plane forces a trace capture and folds it after the run, but its
-    // counters and digests live in the TailReport's own registry, never
-    // the run's.
+    // plane folds every span record and keeps a capture for its flight
+    // recorder, but its counters and digests live in the TailReport's
+    // own registry, never the run's.
     for cfg in [cluster_i_default as fn() -> NodeConfig, chaos_cfg] {
         let dims = TorusDims::new(4, 2, 1);
         let plain = chaos_run(dims, cfg(), chaos_params());

@@ -9,6 +9,7 @@ use apenet_core::coord::{LinkDir, TorusDims};
 use apenet_core::torus::{Port, TorusLink};
 use apenet_gpu::cuda::CudaDevice;
 use apenet_gpu::mem::Memory;
+use apenet_obs::latency::LedgerFold;
 use apenet_sim::engine::{ActorId, Sim};
 use apenet_sim::fault::{derive_seed, FaultInjector};
 use apenet_sim::trace::SharedSink;
@@ -41,9 +42,13 @@ pub struct Cluster {
     pub cards: Vec<ActorId>,
     /// Per-node shareable handles.
     pub nodes: Vec<NodeHandles>,
-    /// The span-trace sink every card and host records into (null unless
-    /// the `trace` plane is on or the tail/SLO planes forced a capture).
+    /// The span-trace sink every card and host records into: the `trace`
+    /// plane's sink, a capture for the tail plane's flight recorder, or
+    /// null, wrapped in the ledger fold when the tail or SLO plane is on.
     pub trace: SharedSink,
+    /// The online latency-ledger fold the trace sink feeds (tail or SLO
+    /// plane on).
+    pub(crate) fold: Option<Rc<RefCell<LedgerFold>>>,
     /// The planes the cluster was built with.
     pub(crate) planes: Planes,
     /// The occupancy sampler [`Cluster::run`] ticks (`sample` plane).
@@ -95,12 +100,23 @@ impl ClusterBuilder {
         // Pre-create torus links: one per (node, direction).
         let link_gbps = self.node_cfg.card.link_gbps;
         let link_lat = self.node_cfg.card.link_latency;
-        // The tail and SLO planes fold a span trace after the run, so
-        // they force an unbounded capture when tracing is otherwise off.
-        let trace = match &planes.trace {
+        // Records are kept only where they are read back: the `trace`
+        // plane, or the tail plane's flight recorder, which retains whole
+        // spans of a tail set known only after the run. The tail and SLO
+        // ledgers fold each record as it arrives.
+        let capture = match &planes.trace {
             Some(sink) => sink.clone(),
-            None if planes.tail.is_some() || planes.slo.is_some() => SharedSink::capturing(),
+            None if planes.tail.is_some() => SharedSink::capturing(),
             None => SharedSink::null(),
+        };
+        let fold = (planes.tail.is_some() || planes.slo.is_some())
+            .then(|| Rc::new(RefCell::new(LedgerFold::new())));
+        let trace = match &fold {
+            Some(fold) => {
+                let fold = fold.clone();
+                SharedSink::folding(capture, move |r| fold.borrow_mut().observe(r))
+            }
+            None => capture,
         };
         for node in &mut built {
             node.card.set_trace(trace.clone());
@@ -221,6 +237,7 @@ impl ClusterBuilder {
             cards,
             nodes: handles,
             trace,
+            fold,
             sampler: planes.sample.map(OccupancySampler::new),
             planes,
         }

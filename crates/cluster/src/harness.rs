@@ -34,7 +34,7 @@ use apenet_rdma::signal::{self, SendQueue, SignalConfig};
 use apenet_rdma::staging::{staged_put, staged_recv_finish};
 use apenet_sim::bytes::PayloadSlice;
 use apenet_sim::profile::SimProfile;
-use apenet_sim::trace::TraceRecord;
+use apenet_sim::trace::{SharedSink, TraceRecord};
 use apenet_sim::{Bandwidth, SimDuration, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -1722,14 +1722,20 @@ pub fn incast_run_slo(
 }
 
 /// [`incast_run_slo`] also handing back the raw span capture, for the
-/// trace-export path that renders storm spans plus counter tracks.
+/// trace-export path that renders storm spans plus counter tracks: the
+/// env's `trace` plane, or a capture of every record when it is off.
 pub fn incast_run_slo_traced(
     dims: TorusDims,
     node_cfg: NodeConfig,
     p: IncastParams,
     cfg: SloConfig,
 ) -> (IncastReport, RunReport, Vec<TraceRecord>) {
-    let (report, artifacts) = incast_run_with(dims, node_cfg, p, slo_planes(cfg));
+    let planes = slo_planes(cfg);
+    let planes = Planes {
+        trace: Some(planes.trace.unwrap_or_else(SharedSink::capturing)),
+        ..planes
+    };
+    let (report, artifacts) = incast_run_with(dims, node_cfg, p, planes);
     (
         report,
         artifacts.slo.expect("slo plane on"),

@@ -31,9 +31,7 @@
 use crate::cluster::Cluster;
 use crate::sampling::OccupancySampler;
 use apenet_obs::alert::RuleSet;
-use apenet_obs::latency::{
-    collect_ledgers, metrics as tail_metrics, MsgLedger, TailConfig, TailSummary,
-};
+use apenet_obs::latency::{metrics as tail_metrics, MsgLedger, TailConfig, TailSummary};
 use apenet_obs::recorder::FlightRecorder;
 use apenet_obs::report::RunReport;
 use apenet_obs::slo::SloConfig;
@@ -62,16 +60,16 @@ const SLO_GRAMMAR: &str =
 /// Which observation planes ride a run. Every field off is
 /// [`Planes::off`]; nothing here can change what the run schedules.
 pub struct Planes {
-    /// Span-trace sink for every card and host. When off while `tail`
-    /// or `slo` is on, the cluster forces an unbounded capture.
+    /// Span-trace sink for every card and host. The tail and SLO planes
+    /// fold records as they arrive whether or not this is on.
     pub trace: Option<SharedSink>,
     /// Occupancy-sampling period; [`Cluster::run`] ticks a sampler.
     pub sample: Option<SimDuration>,
     /// Attach the sim-time profiler.
     pub profile: bool,
-    /// Fold the trace into the tail-forensics plane after the run.
+    /// Fold the span records into the tail-forensics plane.
     pub tail: Option<TailConfig>,
-    /// Fold the trace into the streaming SLO engine after the run.
+    /// Fold the span records into the streaming SLO engine.
     pub slo: Option<SloConfig>,
     /// Bus-analyzer sink interposed on every card's PCIe uplink.
     pub pcie: Option<SharedSink>,
@@ -228,9 +226,10 @@ pub struct RunArtifacts {
     pub profile: Option<SimProfile>,
     /// The occupancy sampler and every series it recorded.
     pub sampler: Option<OccupancySampler>,
-    /// The tail-forensics fold of `trace`.
+    /// The tail-forensics plane: the run's ledger fold plus the spans it
+    /// retained.
     pub tail: Option<TailReport>,
-    /// The SLO engine's fold of `trace`.
+    /// The SLO engine's report over the run's ledger fold.
     pub slo: Option<RunReport>,
     /// The bus-analyzer capture.
     pub pcie: Vec<TraceRecord>,
@@ -256,9 +255,9 @@ pub struct TailReport {
 
 impl TailReport {
     /// Build the tail plane from the run's ledgers (typed errors
-    /// attached); `records` is the capture they were folded from, which
-    /// the flight recorder retains spans of.
-    fn build(ledgers: Vec<MsgLedger>, records: &[TraceRecord], cfg: TailConfig) -> Self {
+    /// attached); `records` is the span capture, which the flight
+    /// recorder retains spans of.
+    pub fn build(ledgers: Vec<MsgLedger>, records: &[TraceRecord], cfg: TailConfig) -> Self {
         let summary = TailSummary::build(ledgers, cfg);
         let mut recorder = FlightRecorder::new(cfg.capacity);
         recorder.ingest(records, &summary.retain_set());
@@ -293,15 +292,15 @@ impl TailReport {
 
 impl Cluster {
     /// Collect what the planes recorded. The trace is drained once and,
-    /// with tail or SLO on, folded into ledgers once; completion-queue
-    /// errors overlay the fold's own labels (a watchdog escalation wins),
-    /// and both planes are built from those ledgers, each publishing
-    /// only into its own registry. Call after the run.
+    /// with tail or SLO on, the ledger fold the run fed is finished once;
+    /// completion-queue errors overlay the fold's own labels (a watchdog
+    /// escalation wins), and both planes are built from those ledgers,
+    /// each publishing only into its own registry. Call after the run.
     pub fn take_artifacts(&mut self) -> RunArtifacts {
         let trace = self.trace.take();
         let Planes { tail, slo, .. } = self.planes;
-        let ledgers = (tail.is_some() || slo.is_some()).then(|| {
-            let mut ledgers = collect_ledgers(&trace);
+        let ledgers = self.fold.as_ref().map(|fold| {
+            let mut ledgers = std::mem::take(&mut *fold.borrow_mut()).finish();
             for r in 0..self.dims.nodes() {
                 // Unreachable is the only CQ error: the watchdog gave up.
                 for (m, _, CompletionError::Unreachable) in self.host(r).node.cq.errors() {

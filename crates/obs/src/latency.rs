@@ -1,12 +1,13 @@
 //! Per-message latency ledger and tail attribution.
 //!
-//! Folds a span-correlated trace capture into one [`MsgLedger`] per
-//! message: an ordered, monotone-clamped chain of time boundaries whose
-//! consecutive differences are the pipeline **stages** — and those
-//! stages telescope *exactly* to the end-to-end latency, the same 100 %
-//! property `SimProfile::assert_exact` enforces for wall time. On top
-//! of the ledgers, [`TailSummary`] finds the messages above a
-//! configurable quantile of total latency and attributes each to its
+//! Folds a span-correlated trace stream — online through [`LedgerFold`]
+//! or from a capture through [`collect_ledgers`] — into one
+//! [`MsgLedger`] per message: an ordered, monotone-clamped chain of time
+//! boundaries whose consecutive differences are the pipeline **stages**
+//! — and those stages telescope *exactly* to the end-to-end latency, the
+//! same 100 % property `SimProfile::assert_exact` enforces for wall
+//! time. On top of the ledgers, [`TailSummary`] finds the messages above
+//! a configurable quantile of total latency and attributes each to its
 //! dominant stage, answering the question aggregate bandwidth curves
 //! cannot: *which stage makes a p99 message slow, and where does the
 //! bottleneck move under faults?*
@@ -35,8 +36,9 @@ use crate::recorder::RetainReason;
 use crate::registry::Registry;
 use apenet_sim::trace::{kind, SpanId, TracePayload, TraceRecord};
 use apenet_sim::{SimDuration, SimTime};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// One pipeline stage of a message's life (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -139,7 +141,7 @@ pub fn class_of(len: u64) -> &'static str {
 
 /// One message's exact stage decomposition: ten monotone boundaries
 /// whose nine consecutive gaps are the [`Stage`]s.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MsgLedger {
     /// The message span.
     pub span: SpanId,
@@ -252,15 +254,74 @@ fn max_t(slot: &mut Option<SimTime>, at: SimTime) {
     *slot = Some(slot.map_or(at, |t| t.max(at)));
 }
 
-/// Fold `records` into one ledger per span, in span order. Records
-/// without a span (bare interposer TLPs) are ignored. A span whose
-/// completion was parked on a full RX event ring (`RX_HELD`) and never
-/// delivered ends in the typed error "rx-ring-full".
-pub fn collect_ledgers(records: &[TraceRecord]) -> Vec<MsgLedger> {
-    let mut raw: BTreeMap<SpanId, RawSpan> = BTreeMap::new();
-    for r in records {
-        let Some(id) = r.span else { continue };
-        let sp = raw.entry(id).or_default();
+/// The online span fold: [`LedgerFold::observe`] each record as it
+/// arrives, then [`LedgerFold::finish`] once for the ledgers.
+///
+/// Every per-span field is a min, a max or a sum, so the fold is
+/// commutative: the ledgers do not depend on the order records arrive
+/// in, and folding during the run equals folding a capture after it.
+/// Spans are indexed by a hash map into a vector, with a shortcut for a
+/// run of records of the same span; the map is never iterated, and
+/// `finish` sorts by span once, so the output order is deterministic.
+#[derive(Default)]
+pub struct LedgerFold {
+    index: HashMap<SpanId, u32, BuildHasherDefault<SpanHasher>>,
+    spans: Vec<(SpanId, RawSpan)>,
+    last: Option<(SpanId, u32)>,
+}
+
+/// Hashes a [`SpanId`] with one folded 64×64→128-bit multiply, which
+/// mixes the rank bits into the low bits and the sequence bits into the
+/// high ones. Span ids come from the simulator, not from an adversary,
+/// so the default hasher's flooding resistance buys nothing here.
+#[derive(Default)]
+struct SpanHasher(u64);
+
+impl Hasher for SpanHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        let m = u128::from(self.0 ^ n) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (m as u64) ^ ((m >> 64) as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl LedgerFold {
+    /// An empty fold.
+    pub fn new() -> Self {
+        LedgerFold::default()
+    }
+
+    /// The raw span of `id`, created on first sight.
+    fn span(&mut self, id: SpanId) -> &mut RawSpan {
+        let i = match self.last {
+            Some((last, i)) if last == id => i,
+            _ => {
+                let next = u32::try_from(self.spans.len()).expect("under 2^32 spans");
+                let i = *self.index.entry(id).or_insert(next);
+                if i == next {
+                    self.spans.push((id, RawSpan::default()));
+                }
+                self.last = Some((id, i));
+                i
+            }
+        };
+        &mut self.spans[i as usize].1
+    }
+
+    /// Fold one record. Records without a span (bare interposer TLPs)
+    /// are ignored.
+    pub fn observe(&mut self, r: &TraceRecord) {
+        let Some(id) = r.span else { return };
+        let sp = self.span(id);
         min_t(&mut sp.first, r.at);
         match r.kind {
             kind::SUBMIT => min_t(&mut sp.submit, r.at),
@@ -296,41 +357,63 @@ pub fn collect_ledgers(records: &[TraceRecord]) -> Vec<MsgLedger> {
             _ => {}
         }
     }
-    raw.into_iter()
-        .map(|(span, sp)| {
-            let origin = sp.first.unwrap_or(SimTime::ZERO);
-            // The monotone clamp chain: each boundary collapses onto
-            // its predecessor when unobserved, so stages of events that
-            // never happened (no retransmit, no ring stall) are exactly
-            // zero and the telescoping property holds unconditionally.
-            let b0 = sp.submit.or(sp.post).unwrap_or(origin);
-            let b1 = sp.post.unwrap_or(b0).max(b0);
-            let b2 = sp.first_fetch.unwrap_or(b1).max(b1);
-            let b3 = sp.first_stage.unwrap_or(b2).max(b2);
-            let b4 = sp.first_frame_tx.unwrap_or(b3).max(b3);
-            let lfr = sp.last_frame_rx.unwrap_or(b4).max(b4);
-            let b5 = if sp.retransmits > 0 {
-                sp.first_retrans.unwrap_or(lfr).clamp(b4, lfr)
-            } else {
-                lfr
-            };
-            let b6 = lfr.max(b5);
-            let b7 = sp.last_rx_write.unwrap_or(b6).max(b6);
-            let b8 = sp.rx_held.or(sp.delivered).unwrap_or(b7).max(b7);
-            let b9 = sp.delivered.unwrap_or(b8).max(b8);
-            MsgLedger {
-                span,
-                len: sp.len,
-                bounds: [b0, b1, b2, b3, b4, b5, b6, b7, b8, b9],
-                frames: sp.frames,
-                retransmits: sp.retransmits,
-                detours: sp.detours,
-                fetch_bytes: sp.fetch_bytes,
-                complete: sp.post.is_some() && sp.delivered.is_some(),
-                error: (sp.rx_held.is_some() && sp.delivered.is_none()).then_some("rx-ring-full"),
-            }
-        })
-        .collect()
+
+    /// One ledger per observed span, in span order. A span whose
+    /// completion was parked on a full RX event ring (`RX_HELD`) and
+    /// never delivered ends in the typed error "rx-ring-full".
+    pub fn finish(self) -> Vec<MsgLedger> {
+        let mut spans = self.spans;
+        // Span ids are unique, so the unstable sort is deterministic.
+        spans.sort_unstable_by_key(|&(span, _)| span);
+        spans
+            .into_iter()
+            .map(|(span, sp)| {
+                let origin = sp.first.unwrap_or(SimTime::ZERO);
+                // The monotone clamp chain: each boundary collapses onto
+                // its predecessor when unobserved, so stages of events
+                // that never happened (no retransmit, no ring stall) are
+                // exactly zero and the telescoping property holds
+                // unconditionally.
+                let b0 = sp.submit.or(sp.post).unwrap_or(origin);
+                let b1 = sp.post.unwrap_or(b0).max(b0);
+                let b2 = sp.first_fetch.unwrap_or(b1).max(b1);
+                let b3 = sp.first_stage.unwrap_or(b2).max(b2);
+                let b4 = sp.first_frame_tx.unwrap_or(b3).max(b3);
+                let lfr = sp.last_frame_rx.unwrap_or(b4).max(b4);
+                let b5 = if sp.retransmits > 0 {
+                    sp.first_retrans.unwrap_or(lfr).clamp(b4, lfr)
+                } else {
+                    lfr
+                };
+                let b6 = lfr.max(b5);
+                let b7 = sp.last_rx_write.unwrap_or(b6).max(b6);
+                let b8 = sp.rx_held.or(sp.delivered).unwrap_or(b7).max(b7);
+                let b9 = sp.delivered.unwrap_or(b8).max(b8);
+                MsgLedger {
+                    span,
+                    len: sp.len,
+                    bounds: [b0, b1, b2, b3, b4, b5, b6, b7, b8, b9],
+                    frames: sp.frames,
+                    retransmits: sp.retransmits,
+                    detours: sp.detours,
+                    fetch_bytes: sp.fetch_bytes,
+                    complete: sp.post.is_some() && sp.delivered.is_some(),
+                    error: (sp.rx_held.is_some() && sp.delivered.is_none())
+                        .then_some("rx-ring-full"),
+                }
+            })
+            .collect()
+    }
+}
+
+/// Fold a captured `records` stream into one ledger per span, in span
+/// order: [`LedgerFold`] over the capture.
+pub fn collect_ledgers(records: &[TraceRecord]) -> Vec<MsgLedger> {
+    let mut fold = LedgerFold::new();
+    for r in records {
+        fold.observe(r);
+    }
+    fold.finish()
 }
 
 /// Tail-plane configuration (the `APENET_TAIL` env grammar lives in
@@ -618,6 +701,7 @@ impl TailSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apenet_sim::check::{check, Gen};
     use apenet_sim::trace::TracePayload as P;
 
     fn rec(at_ns: u64, k: &'static str, span: SpanId, payload: P) -> TraceRecord {
@@ -801,6 +885,76 @@ mod tests {
         assert!(render.contains("host_post"));
         // Deterministic render.
         assert_eq!(render, sum.render("unit"));
+    }
+
+    /// A random record: any kind the fold reads (plus ones it ignores),
+    /// one of `spans` or none, any time in a 1 µs range.
+    fn random_record(g: &mut Gen, spans: &[SpanId]) -> TraceRecord {
+        const KINDS: [&str; 12] = [
+            kind::SUBMIT,
+            kind::POST,
+            kind::FETCH,
+            kind::STAGE,
+            kind::FRAME_TX,
+            kind::FRAME_RX,
+            kind::RX_WRITE,
+            kind::RX_HELD,
+            kind::DETOUR,
+            kind::DELIVERED,
+            kind::TX_DONE,
+            "MRd",
+        ];
+        let k = *g.pick(&KINDS);
+        let payload = match k {
+            kind::FRAME_TX | kind::FRAME_RX => P::Frame {
+                seq: g.u64(0, 8),
+                wire: 4200,
+                retrans: g.chance(0.3),
+            },
+            kind::SUBMIT | kind::POST | kind::RX_HELD | kind::DELIVERED => P::Msg {
+                len: g.u64(0, 1 << 21),
+            },
+            kind::FETCH | kind::STAGE | kind::RX_WRITE => P::Bytes {
+                len: g.u64(0, 1 << 16),
+            },
+            _ => P::None,
+        };
+        TraceRecord {
+            at: SimTime::from_ps(g.u64(0, 1_000_000)),
+            source: "card",
+            kind: k,
+            span: (!g.chance(0.1)).then(|| *g.pick(spans)),
+            payload,
+        }
+    }
+
+    fn fold(records: &[TraceRecord]) -> Vec<MsgLedger> {
+        let mut fold = LedgerFold::new();
+        for r in records {
+            fold.observe(r);
+        }
+        fold.finish()
+    }
+
+    #[test]
+    fn fold_is_independent_of_record_order() {
+        check("ledger fold order invariance", |g| {
+            let spans: Vec<SpanId> = (0..g.u64(1, 8))
+                .map(|seq| SpanId::from_msg(g.u32(0, 4), seq))
+                .collect();
+            let records = g.vec_of(0, 96, |g| random_record(g, &spans));
+            let mut shuffled = records.clone();
+            for i in (1..shuffled.len()).rev() {
+                shuffled.swap(i, g.usize(0, i + 1));
+            }
+            let ledgers = fold(&records);
+            assert_eq!(ledgers, fold(&shuffled), "a shuffled stream folds the same");
+            assert_eq!(ledgers, collect_ledgers(&records));
+            assert!(ledgers.windows(2).all(|w| w[0].span < w[1].span));
+            for l in &ledgers {
+                l.assert_telescopes();
+            }
+        });
     }
 
     #[test]

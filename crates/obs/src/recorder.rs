@@ -171,7 +171,7 @@ mod tests {
         };
         vec![
             rec(0, kind::POST, P::Msg { len: 4096 }),
-            rec(10, kind::FRAME_TX, frame.clone()),
+            rec(10, kind::FRAME_TX, frame),
             rec(20, kind::FRAME_RX, frame),
             rec(30, kind::DELIVERED, P::Msg { len: 4096 }),
         ]

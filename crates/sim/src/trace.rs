@@ -56,7 +56,7 @@ impl fmt::Display for SpanId {
 /// Typed record payload. Variants cover the observation points of the
 /// reproduction; `Display` renders the historical detail-string format
 /// so committed trace renderings stay byte-identical.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TracePayload {
     /// Marker events with no data.
     None,
@@ -159,15 +159,22 @@ enum SinkImpl {
         cap: usize,
         dropped: Rc<Cell<u64>>,
     },
+    Fold {
+        subscriber: Rc<dyn Fn(&TraceRecord)>,
+        inner: Box<SharedSink>,
+    },
 }
 
 /// A cheaply clonable, shareable trace sink — components of a
 /// single-threaded simulation share one capture buffer through this handle.
 ///
-/// Three flavours: [`SharedSink::null`] discards, [`SharedSink::capturing`]
+/// Four flavours: [`SharedSink::null`] discards, [`SharedSink::capturing`]
 /// keeps everything, [`SharedSink::ring`] keeps the most recent `cap`
 /// records in bounded memory (the virtual bus-analyzer's capture buffer),
-/// counting evictions in [`SharedSink::dropped`].
+/// counting evictions in [`SharedSink::dropped`], and
+/// [`SharedSink::folding`] wraps one of the others, showing every record
+/// to a subscriber first — an online fold sees the whole stream whatever
+/// the wrapped sink keeps.
 #[derive(Clone)]
 pub struct SharedSink {
     inner: SinkImpl,
@@ -201,8 +208,21 @@ impl SharedSink {
         }
     }
 
-    /// True when records are kept. Check before constructing payloads on
-    /// hot paths.
+    /// A sink handing every record to `subscriber`, then to `inner`.
+    /// Reads ([`SharedSink::take`], [`SharedSink::len`],
+    /// [`SharedSink::dropped`], [`SharedSink::snapshot`]) see `inner`
+    /// alone; wrapping a null sink folds without keeping anything.
+    pub fn folding(inner: SharedSink, subscriber: impl Fn(&TraceRecord) + 'static) -> Self {
+        SharedSink {
+            inner: SinkImpl::Fold {
+                subscriber: Rc::new(subscriber),
+                inner: Box::new(inner),
+            },
+        }
+    }
+
+    /// True when records are observed. Check before constructing
+    /// payloads on hot paths.
     pub fn enabled(&self) -> bool {
         !matches!(self.inner, SinkImpl::Null)
     }
@@ -216,23 +236,30 @@ impl SharedSink {
         span: Option<SpanId>,
         payload: TracePayload,
     ) {
-        let rec = |at, source, kind| TraceRecord {
+        self.push(TraceRecord {
             at,
             source,
             kind,
             span,
             payload,
-        };
+        });
+    }
+
+    fn push(&self, rec: TraceRecord) {
         match &self.inner {
             SinkImpl::Null => {}
-            SinkImpl::Vec(v) => v.borrow_mut().push(rec(at, source, kind)),
+            SinkImpl::Vec(v) => v.borrow_mut().push(rec),
             SinkImpl::Ring { buf, cap, dropped } => {
                 let mut buf = buf.borrow_mut();
                 if buf.len() == *cap {
                     buf.pop_front();
                     dropped.set(dropped.get() + 1);
                 }
-                buf.push_back(rec(at, source, kind));
+                buf.push_back(rec);
+            }
+            SinkImpl::Fold { subscriber, inner } => {
+                subscriber(&rec);
+                inner.push(rec);
             }
         }
     }
@@ -244,6 +271,7 @@ impl SharedSink {
             SinkImpl::Null => None,
             SinkImpl::Vec(v) => Some(v.borrow().clone()),
             SinkImpl::Ring { buf, .. } => Some(buf.borrow().iter().cloned().collect()),
+            SinkImpl::Fold { inner, .. } => inner.snapshot(),
         }
     }
 
@@ -254,14 +282,16 @@ impl SharedSink {
             SinkImpl::Null => Vec::new(),
             SinkImpl::Vec(v) => std::mem::take(&mut *v.borrow_mut()),
             SinkImpl::Ring { buf, .. } => buf.borrow_mut().drain(..).collect(),
+            SinkImpl::Fold { inner, .. } => inner.take(),
         }
     }
 
-    /// Records evicted from a ring sink because it was full (0 for the
-    /// other flavours).
+    /// Records evicted from a ring sink, wrapped or not, because it was
+    /// full (0 for the other flavours).
     pub fn dropped(&self) -> u64 {
         match &self.inner {
             SinkImpl::Ring { dropped, .. } => dropped.get(),
+            SinkImpl::Fold { inner, .. } => inner.dropped(),
             _ => 0,
         }
     }
@@ -272,6 +302,7 @@ impl SharedSink {
             SinkImpl::Null => 0,
             SinkImpl::Vec(v) => v.borrow().len(),
             SinkImpl::Ring { buf, .. } => buf.borrow().len(),
+            SinkImpl::Fold { inner, .. } => inner.len(),
         }
     }
 
@@ -375,6 +406,46 @@ mod tests {
         // Oldest two were evicted; the newest three survive in order.
         assert_eq!(recs[0].at, SimTime::from_ps(2));
         assert_eq!(recs[2].at, SimTime::from_ps(4));
+    }
+
+    #[test]
+    fn folding_sink_shows_every_record_and_reads_the_wrapped_sink() {
+        let seen = Rc::new(Cell::new(0u64));
+        let counter = |seen: &Rc<Cell<u64>>| {
+            let seen = seen.clone();
+            move |r: &TraceRecord| seen.set(seen.get() + r.at.as_ps())
+        };
+        // Over a ring: the subscriber sees all five, the ring keeps two.
+        let s = SharedSink::folding(SharedSink::ring(2), counter(&seen));
+        assert!(s.enabled());
+        for i in 1..=5u64 {
+            s.record(
+                SimTime::from_ps(i),
+                "f",
+                kind::POST,
+                None,
+                TracePayload::None,
+            );
+        }
+        assert_eq!(seen.get(), 1 + 2 + 3 + 4 + 5);
+        assert_eq!((s.len(), s.dropped()), (2, 3));
+        assert_eq!(s.snapshot().unwrap().len(), 2);
+        assert_eq!(s.take()[0].at, SimTime::from_ps(4));
+        // Over a null sink: folded, nothing kept.
+        seen.set(0);
+        let s = SharedSink::folding(SharedSink::null(), counter(&seen));
+        assert!(s.enabled(), "a fold observes even when nothing is kept");
+        s.record(
+            SimTime::from_ps(7),
+            "f",
+            kind::POST,
+            None,
+            TracePayload::None,
+        );
+        assert_eq!(seen.get(), 7);
+        assert_eq!((s.len(), s.dropped()), (0, 0));
+        assert_eq!(s.snapshot(), None);
+        assert!(s.take().is_empty());
     }
 
     #[test]
