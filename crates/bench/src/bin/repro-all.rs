@@ -8,7 +8,11 @@
 //! serial reference pass. With one worker the only pass already is the
 //! serial run, and the file records it once. Each pass record carries
 //! the process's peak resident set size at the end of that pass
-//! (`peak_rss_mb`, from `VmHWM`; `null` where `/proc` is unavailable).
+//! (`peak_rss_mb`, from `VmHWM`; `null` where `/proc` is unavailable),
+//! and a `jobs` object with each job's `wall_s` and, on a one-worker
+//! pass, its `events`. With more workers the jobs run concurrently on
+//! one process-wide event counter, so their events are left out; the
+//! pass total still counts every event.
 
 use apenet_bench::{figs, sweep};
 use apenet_sim::engine;
@@ -98,26 +102,63 @@ fn peak_rss_json() -> String {
     kb.map_or("null".into(), |kb| format!("{:.1}", kb / 1024.0))
 }
 
-/// One full pass over every experiment; returns (wall seconds, events,
-/// per-worker accounting for this pass).
-fn run_all(tag: &str) -> (f64, u64, Vec<(usize, sweep::ThreadStat)>) {
+/// Render one pass's per-job records as a JSON object, in job order.
+fn jobs_json(jobs: &[(&str, f64, Option<u64>)]) -> String {
+    let mut s = String::from("{");
+    for (i, (name, wall_s, events)) in jobs.iter().enumerate() {
+        if i > 0 {
+            s.push_str(", ");
+        }
+        s.push_str(&format!("\"{name}\": {{\"wall_s\": {wall_s:.3}"));
+        if let Some(events) = events {
+            s.push_str(&format!(", \"events\": {events}"));
+        }
+        s.push('}');
+    }
+    s.push('}');
+    s
+}
+
+/// What one pass measured.
+struct Pass {
+    wall_s: f64,
+    events: u64,
+    /// Per job: name, wall seconds and, on one worker, events.
+    jobs: Vec<(&'static str, f64, Option<u64>)>,
+    workers: Vec<(usize, sweep::ThreadStat)>,
+}
+
+/// One full pass over every experiment.
+fn run_all(tag: &str) -> Pass {
     let start = Instant::now();
     let ev0 = engine::global_events();
     let _ = sweep::take_thread_stats();
+    // On one worker every job runs inline on this thread, so the global
+    // counter's delta across a job is exactly that job's events.
+    let one_worker = sweep::threads() == 1;
     let jobs = jobs();
-    sweep::map(&jobs, |(name, f)| {
-        let t = Instant::now();
+    let jobs = sweep::map(&jobs, |&(name, f)| {
+        let (t, ev) = (Instant::now(), engine::global_events());
         f();
-        eprintln!(
-            "[repro-all/{tag}] {name} done in {:.1}s",
-            t.elapsed().as_secs_f64()
-        );
+        let wall_s = t.elapsed().as_secs_f64();
+        eprintln!("[repro-all/{tag}] {name} done in {wall_s:.1}s");
+        (
+            name,
+            wall_s,
+            one_worker.then(|| engine::global_events() - ev),
+        )
     });
-    (
-        start.elapsed().as_secs_f64(),
-        engine::global_events() - ev0,
-        sweep::take_thread_stats(),
-    )
+    let events = engine::global_events() - ev0;
+    if one_worker {
+        let per_job: u64 = jobs.iter().filter_map(|j| j.2).sum();
+        assert_eq!(per_job, events, "per-job events add up to the pass");
+    }
+    Pass {
+        wall_s: start.elapsed().as_secs_f64(),
+        events,
+        jobs,
+        workers: sweep::take_thread_stats(),
+    }
 }
 
 fn main() {
@@ -127,13 +168,14 @@ fn main() {
     // what this run contributed.
     let links0 = apenet_obs::global().counters();
     let tag = if threads > 1 { "parallel" } else { "serial" };
-    let (par_s, par_ev, par_workers) = run_all(tag);
+    let par = run_all(tag);
     let par_rss = peak_rss_json();
     let links = apenet_obs::global().counters().delta_since(&links0);
-    let par_eps = par_ev as f64 / par_s.max(1e-9);
+    let par_eps = par.events as f64 / par.wall_s.max(1e-9);
     eprintln!(
-        "[repro-all] {tag} ({threads} threads): {par_ev} events in {par_s:.1}s \
-         ({par_eps:.0} events/s) -> results/"
+        "[repro-all] {tag} ({threads} threads): {} events in {:.1}s \
+         ({par_eps:.0} events/s) -> results/",
+        par.events, par.wall_s
     );
 
     // With one worker the pass above ran the serial inline path of
@@ -142,34 +184,42 @@ fn main() {
     let baseline = threads > 1 && std::env::var_os("APENET_REPRO_NO_BASELINE").is_none();
     let serial = baseline.then(|| {
         sweep::set_threads(1);
-        let (ser_s, ser_ev, ser_workers) = run_all("serial");
+        let ser = run_all("serial");
         let ser_rss = peak_rss_json();
         sweep::set_threads(0);
-        let ser_eps = ser_ev as f64 / ser_s.max(1e-9);
         eprintln!(
-            "[repro-all] serial reference: {ser_ev} events in {ser_s:.1}s ({ser_eps:.0} events/s); \
+            "[repro-all] serial reference: {} events in {:.1}s ({:.0} events/s); \
              parallel speedup x{:.2}",
-            ser_s / par_s.max(1e-9)
+            ser.events,
+            ser.wall_s,
+            ser.events as f64 / ser.wall_s.max(1e-9),
+            ser.wall_s / par.wall_s.max(1e-9)
         );
-        (ser_s, ser_ev, ser_eps, ser_rss, ser_workers)
+        (ser, ser_rss)
     });
 
+    let pass_json = |p: &Pass, rss: &str| {
+        format!(
+            "{{\"wall_s\": {:.3}, \"events\": {}, \"events_per_sec\": {:.1}, \
+             \"peak_rss_mb\": {rss}, \"jobs\": {}, \"threads_detail\": {}}}",
+            p.wall_s,
+            p.events,
+            p.events as f64 / p.wall_s.max(1e-9),
+            jobs_json(&p.jobs),
+            threads_json(&p.workers)
+        )
+    };
     let mut json = String::from("{\n");
     json.push_str(&format!("  \"threads\": {threads},\n"));
     json.push_str(&format!("  \"link_reliability\": {},\n", link_json(&links)));
-    json.push_str(&format!(
-        "  \"{tag}\": {{\"wall_s\": {par_s:.3}, \"events\": {par_ev}, \"events_per_sec\": {par_eps:.1}, \
-         \"peak_rss_mb\": {par_rss}, \"threads_detail\": {}}}",
-        threads_json(&par_workers)
-    ));
-    if let Some((ser_s, ser_ev, ser_eps, ser_rss, ser_workers)) = serial {
+    json.push_str(&format!("  \"{tag}\": {}", pass_json(&par, &par_rss)));
+    if let Some((ser, ser_rss)) = serial {
         json.push_str(",\n");
+        json.push_str(&format!("  \"serial\": {},\n", pass_json(&ser, &ser_rss)));
         json.push_str(&format!(
-            "  \"serial\": {{\"wall_s\": {ser_s:.3}, \"events\": {ser_ev}, \"events_per_sec\": {ser_eps:.1}, \
-             \"peak_rss_mb\": {ser_rss}, \"threads_detail\": {}}},\n",
-            threads_json(&ser_workers)
+            "  \"speedup\": {:.3}\n",
+            ser.wall_s / par.wall_s.max(1e-9)
         ));
-        json.push_str(&format!("  \"speedup\": {:.3}\n", ser_s / par_s.max(1e-9)));
     } else {
         json.push('\n');
     }

@@ -63,6 +63,42 @@ impl Xoshiro256ss {
         result
     }
 
+    /// Advance the stream by `steps` draws: afterwards the generator is
+    /// where `steps` calls of [`next_u64`](Self::next_u64) would leave it.
+    ///
+    /// The state transition is linear over GF(2), so `T^steps` equals
+    /// `q(T)` for `q = x^steps mod P`, where `P` is the transition's
+    /// characteristic polynomial (`CHAR_POLY`). Computing `q` takes one
+    /// polynomial squaring per bit of `steps`; applying it takes 256 draws,
+    /// the way the reference `jump()` applies its fixed polynomial. Fewer
+    /// than 256 steps are taken one draw at a time.
+    pub fn advance(&mut self, steps: u64) {
+        if steps < 256 {
+            for _ in 0..steps {
+                self.next_u64();
+            }
+        } else {
+            self.apply(x_pow_mod(steps));
+        }
+    }
+
+    /// Replace the state by `q(T)` applied to it: the sum, over the set
+    /// bits `j` of `q`, of the state after `j` draws.
+    fn apply(&mut self, q: [u64; 4]) {
+        let mut acc = [0u64; 4];
+        for word in q {
+            for b in 0..64 {
+                if word >> b & 1 == 1 {
+                    for (a, s) in acc.iter_mut().zip(self.s) {
+                        *a ^= s;
+                    }
+                }
+                self.next_u64();
+            }
+        }
+        self.s = acc;
+    }
+
     /// Uniform in `[0, bound)` via Lemire's multiply-shift (unbiased enough
     /// for workload generation; bound must be non-zero).
     pub fn next_below(&mut self, bound: u64) -> u64 {
@@ -93,6 +129,64 @@ impl Xoshiro256ss {
             xs.swap(i, j);
         }
     }
+}
+
+/// The characteristic polynomial of the xoshiro256 state transition over
+/// GF(2), without its leading `x^256` term: bit `j` of word `j / 64` is the
+/// coefficient of `x^j`. It is the minimal polynomial of the transition
+/// (found by Berlekamp–Massey on one state bit); the test
+/// `char_poly_gives_the_reference_jump` checks it against the reference
+/// implementation's `JUMP` constant, `x^(2^128) mod P`.
+const CHAR_POLY: [u64; 4] = [
+    0x9d11_6f2b_b0f0_f001,
+    0x0280_002b_cefd_1a5e,
+    0x04b4_edcf_2625_9f85,
+    0x0003_c03c_3f3e_cb19,
+];
+
+/// `a · x mod P`.
+fn times_x(a: [u64; 4]) -> [u64; 4] {
+    let carry = a[3] >> 63;
+    let mut r = [
+        a[0] << 1,
+        a[1] << 1 | a[0] >> 63,
+        a[2] << 1 | a[1] >> 63,
+        a[3] << 1 | a[2] >> 63,
+    ];
+    if carry == 1 {
+        for (r, p) in r.iter_mut().zip(CHAR_POLY) {
+            *r ^= p;
+        }
+    }
+    r
+}
+
+/// `a · b mod P`, by shift and add over the bits of `b`.
+fn mul_mod(mut a: [u64; 4], b: [u64; 4]) -> [u64; 4] {
+    let mut acc = [0u64; 4];
+    for word in b {
+        for bit in 0..64 {
+            if word >> bit & 1 == 1 {
+                for (x, y) in acc.iter_mut().zip(a) {
+                    *x ^= y;
+                }
+            }
+            a = times_x(a);
+        }
+    }
+    acc
+}
+
+/// `x^e mod P`, squaring once per bit of `e` from the top.
+fn x_pow_mod(e: u64) -> [u64; 4] {
+    let mut r = [1, 0, 0, 0];
+    for bit in (0..64 - e.leading_zeros()).rev() {
+        r = mul_mod(r, r);
+        if e >> bit & 1 == 1 {
+            r = times_x(r);
+        }
+    }
+    r
 }
 
 #[cfg(test)]
@@ -168,5 +262,77 @@ mod tests {
             seen_hi |= x == 6;
         }
         assert!(seen_lo && seen_hi);
+    }
+
+    #[test]
+    fn char_poly_gives_the_reference_jump() {
+        // `JUMP` of the reference xoshiro256** (Blackman–Vigna): the
+        // polynomial that advances the stream by 2^128 draws.
+        let jump = [
+            0x180e_c6d3_3cfd_0aba,
+            0xd5a6_1266_f0c9_392c,
+            0xa958_2618_e03f_c9aa,
+            0x39ab_dc45_29b1_661c,
+        ];
+        let mut q = x_pow_mod(1);
+        for _ in 0..128 {
+            q = mul_mod(q, q);
+        }
+        assert_eq!(q, jump);
+    }
+
+    #[test]
+    fn advance_equals_stepping() {
+        let step = |r: &Xoshiro256ss, k: u64| {
+            let mut r = r.clone();
+            for _ in 0..k {
+                r.next_u64();
+            }
+            r.s
+        };
+        let advanced = |r: &Xoshiro256ss, k: u64| {
+            let mut r = r.clone();
+            r.advance(k);
+            r.s
+        };
+        crate::check::cases("advance(k) equals k draws", 24, |g| {
+            let r = Xoshiro256ss::seed_from(g.u64(0, u64::MAX));
+            for k in [0, 1, 255, 256, 257, g.u64(0, (1 << 20) + 1)] {
+                assert_eq!(advanced(&r, k), step(&r, k), "k = {k}");
+            }
+        });
+        crate::check::cases(
+            "advance(a) then advance(b) equals advance(a + b)",
+            64,
+            |g| {
+                let r = Xoshiro256ss::seed_from(g.u64(0, u64::MAX));
+                // Spread over magnitudes, so either side may step or jump.
+                let mut pick = || {
+                    let bits = g.u32(1, 41);
+                    g.u64(0, 1 << bits)
+                };
+                let (a, b) = (pick(), pick());
+                let mut two = r.clone();
+                two.advance(a);
+                two.advance(b);
+                assert_eq!(two.s, advanced(&r, a + b), "a = {a}, b = {b}");
+            },
+        );
+    }
+
+    #[test]
+    fn next_u64_stream_is_pinned() {
+        // The first draws of seed 42; `advance` must not change them.
+        let mut r = Xoshiro256ss::seed_from(42);
+        let got: Vec<u64> = (0..4).map(|_| r.next_u64()).collect();
+        assert_eq!(
+            got,
+            [
+                0x1578_0b2e_0c2e_c716,
+                0x6104_d986_6d11_3a7e,
+                0xae17_5332_39e4_99a1,
+                0xecb8_ad47_03b3_60a1
+            ]
+        );
     }
 }

@@ -74,6 +74,12 @@ cargo run --release --offline -q -p apenet-bench --bin table4
 cargo run --release --offline -q -p apenet-bench --bin fig12
 git diff --exit-code -- results/table4.txt results/fig12.txt
 
+echo "==> table4 on one core (one graph-build worker builds the threaded build's bytes)"
+# On one CPU available_parallelism() is 1: R-MAT and the CSR block sort
+# run on the calling thread alone, and the table must not change.
+taskset -c 0 cargo run --release --offline -q -p apenet-bench --bin table4
+git diff --exit-code -- results/table4.txt
+
 echo "==> fig04, fig11, table1 (GPU read bandwidth, HSG halo exchange, loop-back bandwidths; match committed)"
 # fig11's halo exchange rewrites GPU send-slot chunks that a receiver
 # adopted: the memory model's replace-when-shared whole-chunk write.
