@@ -3,8 +3,9 @@
 //! and prefetch window.
 
 use crate::{count_for, emit, sizes_4kb_4mb, sweep};
-use apenet_cluster::harness::{flush_read_bandwidth, BufSide};
+use apenet_cluster::harness::{flush_read_bandwidth, BufSide, BwResult};
 use apenet_cluster::presets::plx_node;
+use apenet_cluster::NodeConfig;
 use apenet_core::config::GpuTxVersion;
 use apenet_gpu::GpuArch;
 use apenet_sim::stats::{render_table, Series};
@@ -24,6 +25,12 @@ pub fn fig04_curves() -> Vec<(String, GpuTxVersion, u64)> {
 
 /// Regenerate this experiment.
 pub fn run() {
+    render(flush_read_bandwidth);
+}
+
+/// Regenerate the figure, measuring each point with `flush_read`, a
+/// [`flush_read_bandwidth`]-shaped call.
+pub fn render(flush_read: impl Fn(NodeConfig, BufSide, u64, u32) -> BwResult + Sync) {
     let sizes = sizes_4kb_4mb();
     let curves = fig04_curves();
     let points: Vec<(GpuTxVersion, u64, u64)> = curves
@@ -32,7 +39,7 @@ pub fn run() {
         .collect();
     let values = sweep::map(&points, |&(version, window, size)| {
         let cfg = plx_node(GpuArch::Fermi2050, version, window);
-        let r = flush_read_bandwidth(cfg, BufSide::Gpu, size, count_for(size));
+        let r = flush_read(cfg, BufSide::Gpu, size, count_for(size));
         r.bandwidth.mb_per_sec_f64()
     });
     let mut series = Vec::new();

@@ -2,12 +2,19 @@
 //! source and destination buffer type.
 
 use crate::{count_for, emit, sizes_32b_4mb, sweep};
-use apenet_cluster::harness::{two_node_bandwidth, BufSide, TwoNodeParams};
+use apenet_cluster::harness::{two_node_bandwidth, BufSide, BwResult, TwoNodeParams};
 use apenet_cluster::presets::cluster_i_default;
+use apenet_cluster::NodeConfig;
 use apenet_sim::stats::{render_table, Series};
 
 /// Regenerate this experiment.
 pub fn run() {
+    render(two_node_bandwidth);
+}
+
+/// Regenerate the figure, measuring each point with `two_node`, a
+/// [`two_node_bandwidth`]-shaped call.
+pub fn render(two_node: impl Fn(NodeConfig, TwoNodeParams) -> BwResult + Sync) {
     let combos = [
         ("H-H", BufSide::Host, BufSide::Host),
         ("H-G", BufSide::Host, BufSide::Gpu),
@@ -20,7 +27,7 @@ pub fn run() {
         .flat_map(|&(_, src, dst)| sizes.iter().map(move |&size| (src, dst, size)))
         .collect();
     let values = sweep::map(&points, |&(src, dst, size)| {
-        let r = two_node_bandwidth(
+        let r = two_node(
             cluster_i_default(),
             TwoNodeParams {
                 src,

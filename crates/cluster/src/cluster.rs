@@ -63,18 +63,18 @@ pub struct ClusterBuilder {
 }
 
 impl ClusterBuilder {
-    /// A cluster of `dims` nodes configured by `node_cfg`, observed by
-    /// the planes the environment requests ([`Planes::from_env`]).
+    /// A cluster of `dims` nodes configured by `node_cfg`, every
+    /// observation plane off.
     pub fn new(dims: TorusDims, node_cfg: NodeConfig) -> Self {
         ClusterBuilder {
             dims,
             node_cfg,
-            planes: Planes::from_env(),
+            planes: Planes::off(),
         }
     }
 
-    /// Observe the run with `planes` instead of the env's. Every plane
-    /// is pure observation: none changes what the simulation schedules.
+    /// Observe the run with `planes`. Every plane is pure observation:
+    /// none changes what the simulation schedules.
     pub fn planes(mut self, planes: Planes) -> Self {
         self.planes = planes;
         self

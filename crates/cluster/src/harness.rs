@@ -14,8 +14,8 @@
 //!
 //! Each workload whose callers want what the observation planes
 //! recorded has one `*_with(…, planes)` entry point returning its report
-//! plus the run's [`RunArtifacts`]; the plain entry points observe the
-//! run with the env's planes ([`Planes::from_env`]) and drop them.
+//! plus the run's [`RunArtifacts`]; the plain entry points run with
+//! every plane off ([`Planes::off`]).
 
 use crate::cluster::{Cluster, ClusterBuilder};
 use crate::msg::{HostApi, HostIn, HostProgram, IdleProgram, NodeCtx};
@@ -445,7 +445,7 @@ fn measure(records: &BenchRecords, size: u64) -> BwResult {
 
 /// Fig. 4 / Table I memory-read rows: single node, TX FIFO flushed.
 pub fn flush_read_bandwidth(node_cfg: NodeConfig, src: BufSide, size: u64, count: u32) -> BwResult {
-    flush_read_with(node_cfg, src, size, count, Planes::from_env()).0
+    flush_read_with(node_cfg, src, size, count, Planes::off()).0
 }
 
 /// [`flush_read_bandwidth`] observed by `planes`. The Fig. 3 setup sets
@@ -484,6 +484,18 @@ pub fn loopback_bandwidth(
     size: u64,
     count: u32,
 ) -> BwResult {
+    loopback_with(node_cfg, src, dst, size, count, Planes::off()).0
+}
+
+/// [`loopback_bandwidth`] observed by `planes`.
+pub fn loopback_with(
+    node_cfg: NodeConfig,
+    src: BufSide,
+    dst: BufSide,
+    size: u64,
+    count: u32,
+    planes: Planes,
+) -> (BwResult, RunArtifacts) {
     let dims = TorusDims::new(1, 1, 1);
     let records: Shared = Rc::new(RefCell::new(BenchRecords::default()));
     let rec = records.clone();
@@ -500,19 +512,22 @@ pub fn loopback_bandwidth(
         let send = StreamSender::new(node.coord, src, src_addr, dst_addr, size, count, rec);
         SendRecv { send, recv }
     });
-    let mut cluster = ClusterBuilder::new(dims, node_cfg).build(vec![prog]);
+    let mut cluster = ClusterBuilder::new(dims, node_cfg)
+        .planes(planes)
+        .build(vec![prog]);
     cluster.run();
     let r = records.borrow();
     let comps = &r.deliveries;
     assert!(comps.len() >= 2);
     let n = comps.len() as u64;
     let span = comps[n as usize - 1].since(comps[0]);
-    BwResult {
+    let bw = BwResult {
         bandwidth: Bandwidth::measured((n - 1) * size, span.max(SimDuration::from_ps(1))),
         submit_interval: SimDuration::ZERO,
         first_completion: comps[0],
         first_submit: r.submits.first().copied().unwrap_or(SimTime::ZERO),
-    }
+    };
+    (bw, cluster.take_artifacts())
 }
 
 /// Parameters of a two-node transfer test.
@@ -532,7 +547,7 @@ pub struct TwoNodeParams {
 
 /// Fig. 6/7 two-node uni-directional bandwidth test.
 pub fn two_node_bandwidth(node_cfg: NodeConfig, p: TwoNodeParams) -> BwResult {
-    two_node_with(node_cfg, p, Planes::from_env()).0
+    two_node_with(node_cfg, p, Planes::off()).0
 }
 
 /// [`two_node_bandwidth`] with the sim-time profiler attached: returns
@@ -542,7 +557,7 @@ pub fn two_node_bandwidth(node_cfg: NodeConfig, p: TwoNodeParams) -> BwResult {
 pub fn two_node_profiled(node_cfg: NodeConfig, p: TwoNodeParams) -> (BwResult, SimProfile) {
     let planes = Planes {
         profile: true,
-        ..Planes::from_env()
+        ..Planes::off()
     };
     let (bw, artifacts) = two_node_with(node_cfg, p, planes);
     (bw, artifacts.profile.expect("profile plane on"))
@@ -630,7 +645,7 @@ pub fn pingpong_half_rtt(
     iters: u32,
     staged: bool,
 ) -> SimDuration {
-    pingpong_with(node_cfg, src, dst, size, iters, staged, Planes::from_env()).0
+    pingpong_with(node_cfg, src, dst, size, iters, staged, Planes::off()).0
 }
 
 /// [`pingpong_half_rtt`] observed by `planes`. With `trace` and `sample`
@@ -1121,7 +1136,7 @@ impl HostProgram for ChaosRank {
 /// deliveries, duplicate completions, byte-exactness of every destination
 /// region, card quiescence and the fault/recovery counter totals.
 pub fn chaos_run(dims: TorusDims, node_cfg: NodeConfig, p: ChaosParams) -> ChaosReport {
-    chaos_run_with(dims, node_cfg, p, Planes::from_env()).0
+    chaos_run_with(dims, node_cfg, p, Planes::off()).0
 }
 
 /// [`chaos_run`] observed by `planes`. The tail and SLO planes publish
@@ -1148,7 +1163,19 @@ pub fn get_chaos_run(
     p: ChaosParams,
     sig: SignalConfig,
 ) -> ChaosReport {
-    chaos_impl(dims, node_cfg, p, Some(sig), Planes::from_env()).0
+    get_chaos_run_with(dims, node_cfg, p, sig, Planes::off()).0
+}
+
+/// [`get_chaos_run`] observed by `planes`; the report is identical with
+/// any planes on.
+pub fn get_chaos_run_with(
+    dims: TorusDims,
+    node_cfg: NodeConfig,
+    p: ChaosParams,
+    sig: SignalConfig,
+    planes: Planes,
+) -> (ChaosReport, RunArtifacts) {
+    chaos_impl(dims, node_cfg, p, Some(sig), planes)
 }
 
 /// The per-run state every chaos and incast run starts from. Every
@@ -1703,7 +1730,7 @@ impl HostProgram for IncastTarget {
 /// [`chaos_run`]. The report carries goodput plus everything the
 /// collapse proofs need.
 pub fn incast_run(dims: TorusDims, node_cfg: NodeConfig, p: IncastParams) -> IncastReport {
-    incast_run_with(dims, node_cfg, p, Planes::from_env()).0
+    incast_run_with(dims, node_cfg, p, Planes::off()).0
 }
 
 /// [`incast_run`] with the streaming SLO engine attached: alongside the
@@ -1717,23 +1744,27 @@ pub fn incast_run_slo(
     p: IncastParams,
     cfg: SloConfig,
 ) -> (IncastReport, RunReport) {
-    let (report, artifacts) = incast_run_with(dims, node_cfg, p, slo_planes(cfg));
+    let planes = Planes {
+        slo: Some(cfg),
+        ..Planes::off()
+    };
+    let (report, artifacts) = incast_run_with(dims, node_cfg, p, planes);
     (report, artifacts.slo.expect("slo plane on"))
 }
 
-/// [`incast_run_slo`] also handing back the raw span capture, for the
-/// trace-export path that renders storm spans plus counter tracks: the
-/// env's `trace` plane, or a capture of every record when it is off.
+/// [`incast_run_slo`] also handing back a capture of every span record,
+/// for the trace-export path that renders storm spans plus counter
+/// tracks.
 pub fn incast_run_slo_traced(
     dims: TorusDims,
     node_cfg: NodeConfig,
     p: IncastParams,
     cfg: SloConfig,
 ) -> (IncastReport, RunReport, Vec<TraceRecord>) {
-    let planes = slo_planes(cfg);
     let planes = Planes {
-        trace: Some(planes.trace.unwrap_or_else(SharedSink::capturing)),
-        ..planes
+        trace: Some(SharedSink::capturing()),
+        slo: Some(cfg),
+        ..Planes::off()
     };
     let (report, artifacts) = incast_run_with(dims, node_cfg, p, planes);
     (
@@ -1741,14 +1772,6 @@ pub fn incast_run_slo_traced(
         artifacts.slo.expect("slo plane on"),
         artifacts.trace,
     )
-}
-
-/// The env's planes with the SLO engine held to `cfg`.
-fn slo_planes(cfg: SloConfig) -> Planes {
-    Planes {
-        slo: Some(cfg),
-        ..Planes::from_env()
-    }
 }
 
 /// [`incast_run`] observed by `planes`. With the SLO plane on, the run's

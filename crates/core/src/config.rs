@@ -1,7 +1,6 @@
 //! Card configuration: every calibration constant of the APEnet+ model,
 //! each annotated with the paper statement it reproduces.
 
-use apenet_sim::env::{env_var, switch, EnvError};
 use apenet_sim::SimDuration;
 
 /// The three generations of the GPU memory reading engine (§IV).
@@ -70,45 +69,6 @@ impl Default for OverloadConfig {
             ring_highwater: 48,
         }
     }
-}
-
-impl OverloadConfig {
-    /// Parse the `APENET_OVERLOAD` grammar: a [`switch`] word (on = the
-    /// defaults), or comma-separated `port:<frames>` and
-    /// `ring:<entries>` overrides of the defaults.
-    pub fn parse(v: &str) -> Result<Option<OverloadConfig>, EnvError> {
-        let v = v.trim();
-        if let Some(on) = switch(v) {
-            return Ok(on.then(OverloadConfig::default));
-        }
-        let bad = || EnvError::new("APENET_OVERLOAD", v, OVERLOAD_GRAMMAR);
-        let mut cfg = OverloadConfig::default();
-        for item in v.split(',') {
-            let (key, n) = item.trim().split_once(':').ok_or_else(bad)?;
-            let n = n.trim().parse::<u32>().map_err(|_| bad())?.max(1);
-            match key {
-                "port" => cfg.port_highwater = n,
-                "ring" => cfg.ring_highwater = n,
-                _ => return Err(bad()),
-            }
-        }
-        Ok(Some(cfg))
-    }
-
-    /// The `APENET_OVERLOAD` env gate, so the guard can arm the
-    /// overload plane without recompiling. Panics when malformed.
-    pub fn from_env() -> Option<OverloadConfig> {
-        env_var("APENET_OVERLOAD", Self::parse)
-    }
-}
-
-const OVERLOAD_GRAMMAR: &str =
-    "off | 0 | on | 1 | <item>[,<item>] (item: port:<frames> | ring:<entries>)";
-const ROUTE_AROUND_GRAMMAR: &str = "off | 0 | on | 1";
-
-/// Parse an `APENET_ROUTE_AROUND_FAULTS` value: a switch word.
-pub fn parse_route_around(v: &str) -> Result<bool, EnvError> {
-    switch(v).ok_or_else(|| EnvError::new("APENET_ROUTE_AROUND_FAULTS", v, ROUTE_AROUND_GRAMMAR))
 }
 
 /// Calibration constants of one card.
@@ -203,9 +163,7 @@ pub struct CardConfig {
     /// `false` restores strict dimension-order routing with
     /// panic-on-missing-route — exactly today's behaviour — and the
     /// golden-digest test pins that clean-run figures are byte-identical
-    /// either way. Defaults from the `APENET_ROUTE_AROUND_FAULTS` env var
-    /// (unset/`0`/`off` = off, `1`/`on` = on; anything else panics with
-    /// an [`EnvError`]) so the guard can flip it without recompiling.
+    /// either way. Off by default; presets and tests set it.
     pub route_around_faults: bool,
     /// Consecutive unanswered keepalive probes before a port is declared
     /// dead. Probes ride barren retransmit timeouts (so they exist only
@@ -219,8 +177,7 @@ pub struct CardConfig {
     /// host keeping up, i.e. an unbounded ring (today's behaviour).
     pub rx_ring_entries: Option<u32>,
     /// The overload-protection plane (ECN-style marking + congestion
-    /// echoes). `None` — the default, from the `APENET_OVERLOAD` env var
-    /// — keeps the plane pure dead code: no mark bits, no echo frames,
+    /// echoes). `None` — the default — keeps the plane pure dead code: no mark bits, no echo frames,
     /// no extra events, byte-identical golden digests.
     pub overload: Option<OverloadConfig>,
 }
@@ -259,10 +216,10 @@ impl CardConfig {
             link_window: 32,
             link_rto: SimDuration::from_us(100),
             fault_seed: 0xA9E0_5EED,
-            route_around_faults: env_var("APENET_ROUTE_AROUND_FAULTS", parse_route_around),
+            route_around_faults: false,
             keepalive_misses: 3,
             rx_ring_entries: None,
-            overload: OverloadConfig::from_env(),
+            overload: None,
         }
     }
 
@@ -356,70 +313,8 @@ mod tests {
     }
 
     #[test]
-    fn overload_grammar_disables_and_defaults() {
-        for v in ["", "0", "off", " OFF "] {
-            assert_eq!(OverloadConfig::parse(v), Ok(None), "{v:?}");
-        }
-        for v in ["1", "on"] {
-            assert_eq!(
-                OverloadConfig::parse(v),
-                Ok(Some(OverloadConfig::default()))
-            );
-        }
-    }
-
-    #[test]
-    fn overload_grammar_rejects_malformed_items() {
-        let e = OverloadConfig::parse("bogus,port:x").unwrap_err();
-        assert_eq!(
-            (e.var, e.value.as_str(), e.grammar),
-            ("APENET_OVERLOAD", "bogus,port:x", OVERLOAD_GRAMMAR)
-        );
-        assert!(e.to_string().contains(OVERLOAD_GRAMMAR));
-        for bad in [
-            "bogus", "port:x", "port:4,", "ring:", "port:-1", "fast:4", "yes",
-        ] {
-            assert!(OverloadConfig::parse(bad).is_err(), "{bad}");
-        }
-    }
-
-    #[test]
-    fn overload_grammar_overrides() {
-        let c = OverloadConfig::parse("port:4,ring:16").unwrap().unwrap();
-        assert_eq!(c.port_highwater, 4);
-        assert_eq!(c.ring_highwater, 16);
-        let c = OverloadConfig::parse(" ring:12 ").unwrap().unwrap();
-        assert_eq!(c.port_highwater, OverloadConfig::default().port_highwater);
-        assert_eq!(c.ring_highwater, 12);
-        // Zero thresholds clamp to 1: a mark-everything config is still
-        // well-defined, a mark-on-empty-queue one is not.
-        let c = OverloadConfig::parse("port:0").unwrap().unwrap();
-        assert_eq!(c.port_highwater, 1);
-    }
-
-    #[test]
-    fn route_around_grammar_is_a_switch() {
-        for v in ["", "0", "off", "OFF", " Off "] {
-            assert_eq!(parse_route_around(v), Ok(false), "{v:?}");
-        }
-        for v in ["1", "on", "ON"] {
-            assert_eq!(parse_route_around(v), Ok(true), "{v:?}");
-        }
-        let e = parse_route_around("yes").unwrap_err();
-        assert_eq!(e.var, "APENET_ROUTE_AROUND_FAULTS");
-        assert_eq!(
-            e.to_string(),
-            "APENET_ROUTE_AROUND_FAULTS=\"yes\" is malformed; expected off | 0 | on | 1"
-        );
-    }
-
-    #[test]
     fn overload_plane_defaults_off() {
-        // The env gate is the only way to arm it cluster-wide; the test
-        // binary never sets APENET_OVERLOAD globally.
-        if std::env::var("APENET_OVERLOAD").is_err() {
-            assert_eq!(CardConfig::default().overload, None);
-        }
+        assert_eq!(CardConfig::default().overload, None);
     }
 
     #[test]

@@ -416,8 +416,8 @@ pub fn collect_ledgers(records: &[TraceRecord]) -> Vec<MsgLedger> {
     fold.finish()
 }
 
-/// Tail-plane configuration (the `APENET_TAIL` env grammar lives in
-/// `apenet_cluster::planes` with the other observation planes').
+/// Tail-plane configuration, as set in the
+/// `apenet_cluster::planes::Planes::tail` plane.
 #[derive(Debug, Clone, Copy)]
 pub struct TailConfig {
     /// Messages at or above this total-latency quantile are "tail".

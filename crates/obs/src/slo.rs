@@ -43,8 +43,9 @@ pub struct SloConfig {
 }
 
 impl Default for SloConfig {
-    /// The grammar's `APENET_SLO=1` objective: 100 µs windows,
-    /// `p99 < 50 µs` expressed as "99 % of messages under 50 µs".
+    /// The default objective of the `apenet_cluster::planes::Planes::slo`
+    /// plane: 100 µs windows, `p99 < 50 µs` expressed as "99 % of
+    /// messages under 50 µs".
     fn default() -> Self {
         SloConfig {
             window: SimDuration::from_us(100),

@@ -1,5 +1,6 @@
-//! Strict environment grammars: the error every `APENET_*` reader
-//! returns for a malformed value, and the helpers they share.
+//! Strict environment grammars for the bench and test-suite settings:
+//! the error every `APENET_*` reader returns for a malformed value, and
+//! the reader they share. No simulator crate reads the environment.
 //!
 //! No env grammar falls back to a default on a malformed value: a typo
 //! such as `APENET_GATE_TOL=O.25` fails naming the variable, the value
@@ -49,15 +50,4 @@ impl std::error::Error for EnvError {}
 /// On a malformed value, with the [`EnvError`] message.
 pub fn env_var<T>(name: &'static str, parse: impl Fn(&str) -> Result<T, EnvError>) -> T {
     parse(&std::env::var(name).unwrap_or_default()).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// The switch words every env grammar shares, in any case: unset,
-/// empty, `0` and `off` are `Some(false)`; `1` and `on` are
-/// `Some(true)`; anything else is `None`, not a switch word.
-pub fn switch(v: &str) -> Option<bool> {
-    match v.trim().to_ascii_lowercase().as_str() {
-        "" | "0" | "off" => Some(false),
-        "1" | "on" => Some(true),
-        _ => None,
-    }
 }

@@ -25,6 +25,15 @@ cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
 echo "==> trace-export smoke (Perfetto exporter self-validates nesting + JSON; exports match committed)"
 cargo run --release --offline -q -p apenet-bench --bin trace-export
 
+echo "==> env-leak check (the retired APENET_* plane and card knobs change no artifact)"
+# Planes and card switches are set in code only: with every retired
+# knob set, the exports and fig06 still match the committed files.
+leak=(APENET_TRACE=ring:64 APENET_SAMPLE=1 APENET_PROFILE=1 APENET_TAIL=1 APENET_SLO=1
+    APENET_OVERLOAD=on APENET_ROUTE_AROUND_FAULTS=on)
+env "${leak[@]}" cargo run --release --offline -q -p apenet-bench --bin trace-export
+env "${leak[@]}" cargo run --release --offline -q -p apenet-bench --bin fig06
+git diff --exit-code -- results/trace_incast.json results/trace_pingpong.json results/fig06.txt
+
 echo "==> observation-plane artifacts (span-trace breakdown + bus-analyzer capture match committed)"
 cargo run --release --offline -q -p apenet-bench --bin latency-breakdown
 cargo run --release --offline -q -p apenet-bench --bin fig03

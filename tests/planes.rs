@@ -1,17 +1,15 @@
 //! The observation planes through the facade: switching every plane on
 //! changes nothing a run reports, every plane hands back what it
-//! recorded, the tail and SLO planes read one ledger fold, folding as
-//! records arrive equals folding the capture afterwards, and each env
-//! grammar rejects malformed values loudly.
+//! recorded, the tail and SLO planes read one ledger fold, and folding
+//! as records arrive equals folding the capture afterwards. Planes are set
+//! only in code, as a `Planes` value handed to a `*_with` entry point.
 
 use apenet::cluster::harness::{
     chaos_run_with, incast_run_with, ChaosParams, ChaosReport, IncastParams, IncastReport,
     IncastVerb,
 };
 use apenet::cluster::node::FaultPlan;
-use apenet::cluster::planes::{
-    parse_profile, parse_sample, parse_slo, parse_tail, parse_trace, Planes, TailReport,
-};
+use apenet::cluster::planes::{Planes, TailReport};
 use apenet::cluster::presets::{
     cluster_i_chaos, cluster_i_hard_fault, cluster_i_hotspot, incast_dims,
 };
@@ -175,18 +173,4 @@ fn online_ledger_fold_equals_the_post_hoc_fold() {
         slo.registry.snapshot_json(),
         slo_only.registry.snapshot_json()
     );
-}
-
-#[test]
-fn each_grammar_rejects_a_malformed_value() {
-    assert_eq!(parse_trace("ring:0").err().unwrap().var, "APENET_TRACE");
-    assert_eq!(parse_sample("5s").unwrap_err().var, "APENET_SAMPLE");
-    assert_eq!(parse_profile("yes").unwrap_err().var, "APENET_PROFILE");
-    assert_eq!(parse_tail("p95").unwrap_err().var, "APENET_TAIL");
-    let e = parse_slo("garbage").unwrap_err();
-    assert_eq!((e.var, e.value.as_str()), ("APENET_SLO", "garbage"));
-    assert!(e.to_string().contains(e.grammar));
-    // `ms` is a duration suffix, not a silent fallback.
-    let cfg = parse_slo("5ms").unwrap().unwrap();
-    assert_eq!(cfg.window, SimDuration::from_us(5_000));
 }
