@@ -37,6 +37,7 @@
 pub mod figs;
 pub mod microbench;
 pub mod sweep;
+pub mod trace_export;
 
 use std::fmt::Write as _;
 use std::fs;

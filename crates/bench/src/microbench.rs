@@ -4,7 +4,8 @@
 //! times with per-iteration wall-clock sampling; the report carries the
 //! median and minimum sample plus — for benches that drive a [`Sim`] —
 //! the simulator event throughput derived from the process-global event
-//! counter. Results go to stdout and, as hand-rolled JSON, to
+//! counter and the exact events one iteration dispatches (which the perf
+//! gate holds exactly). Results go to stdout and, as hand-rolled JSON, to
 //! `BENCH_microbench.json`.
 //!
 //! Run with `cargo run -p apenet-bench --release --bin microbench`.
@@ -27,6 +28,9 @@ pub struct BenchResult {
     /// Simulator events retired per wall-clock second, when the bench
     /// stepped a `Sim` at all.
     pub events_per_sec: Option<f64>,
+    /// Events one iteration dispatched on this thread, when it stepped a
+    /// `Sim`: deterministic, so the gate compares it exactly.
+    pub events: Option<u64>,
     /// The p99 *simulated* end-to-end latency observed by the bench, in
     /// picoseconds — deterministic (unlike the wall-clock fields), so
     /// the perf gate holds it to its one-sided higher-is-worse policy.
@@ -83,11 +87,13 @@ impl Harness {
         }
         let mut samples = Vec::with_capacity(self.iters as usize);
         let ev0 = engine::global_events();
+        let mut per_iter = 0;
         let wall = Instant::now();
         for _ in 0..self.iters {
-            let t = Instant::now();
+            let (t, thread_ev) = (Instant::now(), engine::thread_events());
             black_box(f());
             samples.push(t.elapsed().as_nanos() as f64);
+            per_iter = engine::thread_events() - thread_ev;
         }
         let total_s = wall.elapsed().as_secs_f64();
         let events = engine::global_events() - ev0;
@@ -111,6 +117,7 @@ impl Harness {
             median_ns: median,
             min_ns: min,
             events_per_sec,
+            events: (per_iter > 0).then_some(per_iter),
             p99_sim_ps: None,
         });
     }
@@ -144,14 +151,18 @@ impl Harness {
                 Some(v) => format!("{v:.1}"),
                 None => "null".to_string(),
             };
+            let events = match r.events {
+                Some(v) => format!(", \"events\": {v}"),
+                None => String::new(),
+            };
             let p99 = match r.p99_sim_ps {
                 Some(v) => format!(", \"p99_sim_ps\": {v}"),
                 None => String::new(),
             };
             let _ = write!(
                 s,
-                "    {{\"name\": \"{}\", \"median_ns\": {:.1}, \"min_ns\": {:.1}, \"events_per_sec\": {}{}}}",
-                r.name, r.median_ns, r.min_ns, eps, p99
+                "    {{\"name\": \"{}\", \"median_ns\": {:.1}, \"min_ns\": {:.1}, \"events_per_sec\": {}{}{}}}",
+                r.name, r.median_ns, r.min_ns, eps, events, p99
             );
             s.push_str(if i + 1 < self.results.len() {
                 ",\n"
@@ -354,6 +365,22 @@ fn fabric_benches(h: &mut Harness) {
                 dst: BufSide::Gpu,
                 size: 64 * 1024,
                 count: 4,
+                staged: false,
+            },
+        )
+        .bandwidth
+    });
+    // The headline G→G stream at the benchmark's warm-up shape: 4,096
+    // clean 4 KiB fragments, so its exact event count pins the events
+    // one fragment costs.
+    h.bench("two_node_gg_64k_x256", || {
+        two_node_bandwidth(
+            cluster_i_default(),
+            TwoNodeParams {
+                src: BufSide::Gpu,
+                dst: BufSide::Gpu,
+                size: 64 * 1024,
+                count: 256,
                 staged: false,
             },
         )

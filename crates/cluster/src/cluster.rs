@@ -157,6 +157,26 @@ impl ClusterBuilder {
                 node.card.arm_fault_plane();
             }
         }
+        // A cable whose two end cards are both unarmed never loses a
+        // frame: its ACKs settle in closed form (see `card::link`).
+        let armed: Vec<bool> = built.iter().map(|n| n.card.fault_plane_armed()).collect();
+        let ledgers: Vec<_> = built.iter().map(|n| n.card.ack_ledger()).collect();
+        for (rank, node) in built.iter_mut().enumerate() {
+            if armed[rank] {
+                continue;
+            }
+            let coord = dims.coord_of(rank);
+            for dir in LinkDir::ALL {
+                let far = dims.rank_of(dims.neighbor(coord, dir));
+                if !armed[far] {
+                    let far_port = Port::Link(dir.opposite());
+                    node.card
+                        .close_cable(Port::Link(dir), ledgers[far].clone(), far_port);
+                }
+            }
+            let own = ledgers[rank].clone();
+            node.card.close_cable(Port::Loopback, own, Port::Loopback);
+        }
         // Register actors: hosts first so cards can reference them.
         // Actor ids are assigned sequentially; we reserve [0, n) for cards
         // and [n, 2n) for hosts by adding cards first with placeholder
@@ -247,7 +267,9 @@ impl ClusterBuilder {
 impl Cluster {
     /// Run to quiescence and return the final time, ticking the
     /// occupancy sampler when the `sample` plane is on (sampling never
-    /// changes a scheduled event, so the final time is the same).
+    /// changes a scheduled event, so the final time is the same). The
+    /// run ends at its last event or its last closed-form ACK, whichever
+    /// is later, with every ACK applied.
     pub fn run(&mut self) -> SimTime {
         match self.sampler.take() {
             Some(mut sampler) => {
@@ -255,13 +277,54 @@ impl Cluster {
                 self.sampler = Some(sampler);
                 end
             }
-            None => self.sim.run(),
+            None => {
+                let end = self.sim.run();
+                self.finish(end.max(self.ack_horizon()))
+            }
         }
     }
 
-    /// Run until `deadline`.
+    /// Run until `deadline`, with every closed-form ACK due by then
+    /// applied.
     pub fn run_until(&mut self, deadline: SimTime) -> SimTime {
-        self.sim.run_until(deadline)
+        let now = self.sim.run_until(deadline);
+        self.settle_acks(now);
+        now
+    }
+
+    /// Idle the clock forward to `end` (past the calendar's last event)
+    /// and apply every closed-form ACK due by then.
+    pub(crate) fn finish(&mut self, end: SimTime) -> SimTime {
+        let end = self.sim.run_until(end);
+        self.settle_acks(end);
+        end
+    }
+
+    /// Apply every closed-form ACK due at or before `at` on every card,
+    /// so reads from outside any event see what the ACK events would
+    /// have left.
+    pub(crate) fn settle_acks(&mut self, at: SimTime) {
+        for &id in &self.cards {
+            if let ClusterActor::Card(c) = self.sim.actor_mut(id) {
+                c.card.settle_acks(at, u64::MAX);
+            }
+        }
+    }
+
+    /// Due time of the latest closed-form ACK not yet applied.
+    pub(crate) fn ack_horizon(&self) -> SimTime {
+        (0..self.cards.len())
+            .filter_map(|r| self.card(r).card().ack_ledger().horizon())
+            .max()
+            .unwrap_or(SimTime::ZERO)
+    }
+
+    /// Closed-form ACKs posted but not yet applied: the ACK events a
+    /// calendar would still hold.
+    pub(crate) fn pending_acks(&self) -> usize {
+        (0..self.cards.len())
+            .map(|r| self.card(r).card().ack_ledger().len())
+            .sum()
     }
 
     /// Borrow the host actor of `rank` (after a run) to read results.

@@ -97,7 +97,7 @@ pub enum HostIn {
 
 /// The card actor: wraps the [`Card`] device and routes its effects.
 pub struct CardActor {
-    card: Card,
+    pub(crate) card: Card,
     host: ActorId,
     /// Neighbour card actors by link direction index.
     pub neighbors: [Option<ActorId>; 6],
@@ -130,9 +130,15 @@ impl Actor<Msg> for CardActor {
         let Msg::Card(ev) = ev else {
             panic!("card actor received a host event");
         };
+        self.card.settle_acks(ctx.now(), ctx.event_seq());
         self.card.handle(ctx.now(), ev, &mut self.outbox);
         for (delay, eff) in self.outbox.drain() {
             match eff {
+                CardOut::ClosedAck { port, upto } => {
+                    let seq = ctx.take_seq();
+                    self.card
+                        .post_closed_ack(port, ctx.now() + delay, seq, upto);
+                }
                 CardOut::ToSelf(next) => ctx.send_self(delay, Msg::Card(next)),
                 CardOut::TorusSend { dir, msg } => {
                     let to = self.neighbors[dir.index()]

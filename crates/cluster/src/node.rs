@@ -223,7 +223,7 @@ pub fn build_node(rank: u32, coord: Coord, dims: TorusDims, cfg: &NodeConfig) ->
             cfg.host_read_rate,
         ))),
         gpus,
-        firmware: Rc::new(RefCell::new(Firmware::new(cfg.gpus.len()))),
+        firmware: Rc::new(RefCell::new(Firmware::default())),
     };
 
     let card = Card::new(coord, dims, cfg.card.clone(), shared.clone());

@@ -131,9 +131,10 @@ impl OccupancySampler {
                 .series(&format!("pcie{rank}.down_bytes"))
                 .push(at, fabric.uplink_carried(shared.nic_dev, Dir::Down));
         }
+        // Closed-form ACKs not yet due count as the events they replace.
         self.reg
             .series("cluster.calendar")
-            .push(at, cluster.sim.pending() as u64);
+            .push(at, (cluster.sim.pending() + cluster.pending_acks()) as u64);
         self.last = Some(at);
         self.samples += 1;
     }
@@ -146,17 +147,26 @@ impl Cluster {
     /// scheduled event — is identical to an unsampled run.
     pub(crate) fn run_sampled(&mut self, sampler: &mut OccupancySampler) -> SimTime {
         while let Some(at) = self.sim.peek_next_at() {
-            while sampler.next < at {
-                let tick = sampler.next;
-                sampler.next = tick + sampler.period;
-                sampler.sample(tick, self);
-            }
+            self.sample_before(sampler, at);
             self.sim.step();
         }
-        let end = self.sim.now();
+        // The closed-form ACKs due after the last event end the run.
+        let end = self.sim.now().max(self.ack_horizon());
+        self.sample_before(sampler, end);
+        let end = self.finish(end);
         if sampler.last != Some(end) {
             sampler.sample(end, self);
         }
         end
+    }
+
+    /// Take every sample tick strictly before `at`.
+    fn sample_before(&mut self, sampler: &mut OccupancySampler, at: SimTime) {
+        while sampler.next < at {
+            let tick = sampler.next;
+            sampler.next = tick + sampler.period;
+            self.settle_acks(tick);
+            sampler.sample(tick, self);
+        }
     }
 }

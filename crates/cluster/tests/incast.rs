@@ -21,6 +21,8 @@ use apenet_cluster::presets::{cluster_i_hotspot, cluster_i_incast, incast_dims};
 use apenet_core::coord::LinkDir;
 use apenet_rdma::pacing::PacerConfig;
 use apenet_sim::{SimDuration, SimTime};
+use std::sync::mpsc;
+use std::time::Duration;
 
 /// Messages each storming rank issues.
 const MSGS: u32 = 32;
@@ -31,6 +33,9 @@ const MSG_LEN: u64 = 32 * 1024;
 const SENDERS: u32 = 8;
 /// The offered-load multiplier of the survival proofs.
 const OFFERED: u32 = 4;
+/// Wall-clock limit of a run that must end (each takes well under a
+/// second).
+const WALL_LIMIT: Duration = Duration::from_secs(20);
 
 fn params(offered: u32, verb: IncastVerb, pacer: Option<PacerConfig>) -> IncastParams {
     IncastParams {
@@ -59,6 +64,28 @@ fn baseline_put() -> IncastReport {
         MSG_LEN,
         IncastVerb::Put,
     )
+}
+
+/// Run `f` on its own thread and fail if it has not returned within
+/// `WALL_LIMIT`, so a run that never ends fails instead of hanging the
+/// suite. A panic inside `f` is re-raised here.
+fn within_wall_limit(f: fn()) {
+    let (tx, rx) = mpsc::channel();
+    let run = std::thread::spawn(move || {
+        f();
+        let _ = tx.send(());
+    });
+    match rx.recv_timeout(WALL_LIMIT) {
+        Ok(()) => {}
+        Err(mpsc::RecvTimeoutError::Timeout) => {
+            panic!("the run did not end within {WALL_LIMIT:?}: livelock?")
+        }
+        Err(mpsc::RecvTimeoutError::Disconnected) => {
+            if let Err(e) = run.join() {
+                std::panic::resume_unwind(e);
+            }
+        }
+    }
 }
 
 /// Exactly-once and byte-exactness must hold in every configuration —
@@ -189,6 +216,47 @@ fn incast_survives_a_mid_storm_cable_kill() {
     );
     let bound = quiescence_bound(OFFERED);
     assert!(off.end < bound && on.end < bound, "kill run past the bound");
+}
+
+/// The same kill with route-around off: nothing reroutes, so the cut
+/// cable's port times out until the retry bound retires it (16 barren
+/// timeouts), its frames drop as unreachable and the watchdog fails
+/// their ops typed. With the plane on every op ends exactly once —
+/// delivered or `Unreachable`; with it off the collapse also fails 25
+/// healthy ops that deliver later. Either way the run ends inside the
+/// bound plus the retry ladder.
+#[test]
+fn incast_cable_cut_without_route_around_ends_typed() {
+    within_wall_limit(cable_cut_without_route_around);
+}
+
+fn cable_cut_without_route_around() {
+    let kill_at = SimTime::ZERO + SimDuration::from_us(800);
+    for plane in [false, true] {
+        let mut cfg = cluster_i_incast(plane);
+        assert!(!cfg.card.route_around_faults);
+        cfg.faults = FaultPlan::none().kill_link(3, LinkDir::Xm, kill_at);
+        let rto = cfg.card.link_rto.as_ps();
+        let r = incast_run(
+            incast_dims(),
+            cfg,
+            params(OFFERED, IncastVerb::Put, plane.then(PacerConfig::default)),
+        );
+        assert_eq!(r.duplicates, 0, "{r:?}");
+        assert!(r.payload_ok, "{r:?}");
+        // Ops that both failed and delivered: the collapse's spurious
+        // escalations (the uncut plane-off storm has 50 of them).
+        let twice = if plane { 0 } else { 25 };
+        assert_eq!(
+            r.delivered + r.error_completions,
+            r.expected + twice,
+            "{r:?}"
+        );
+        assert!(r.error_completions > 0, "the cut stranded no op: {r:?}");
+        let ladder: u64 = (0..16).map(|i| rto << i.min(6)).sum();
+        let bound = quiescence_bound(OFFERED) + SimDuration::from_ps(ladder);
+        assert!(r.end < bound, "cut run past the bound: {r:?}");
+    }
 }
 
 /// The hotspot-responder storm: 8 ranks GET rank 0's TX region at 4×

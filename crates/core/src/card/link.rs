@@ -5,6 +5,15 @@
 //! the layer: `link_send` on transmit and `link_rx_data` on
 //! receive. With it off no card sends an ACK or NAK and none arms a
 //! timer, so the ACK/NAK/timer handlers never run.
+//!
+//! On a clean cable — both end cards unarmed, decided once by the
+//! cluster at build time — an ACK only frees replay slots, so it is
+//! settled in closed form instead of scheduled: the receiver posts it to
+//! the sender's [`AckLedger`] under the `(due, seq)` dispatch position
+//! the ACK event would have had, and the sender applies every posted ACK
+//! that precedes the event it is handling (or, read from outside any
+//! event, every ACK due by then). The sender's replay buffer on such a
+//! cable holds counts, not packet clones.
 
 use super::{Card, CardIn, CardOut, PortOccupancy};
 use crate::config::CardConfig;
@@ -15,9 +24,113 @@ use apenet_sim::fault::{self, FaultInjector};
 use apenet_sim::rng::Xoshiro256ss;
 use apenet_sim::trace::{kind as tk, TracePayload};
 use apenet_sim::{Bandwidth, Outbox, SimDuration, SimTime};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
+
+/// Consecutive barren retransmit timeouts after which a cable port with
+/// route-around off is retired. At the default 100 µs RTO, capped at
+/// 64× backoff, that is about 70 ms without ACK progress; recovering
+/// cables in the shipped runs peak at 3.
+pub(super) const RETRY_LIMIT: u32 = 16;
+
+/// One closed-form ACK: the cumulative `upto` an ACK event would have
+/// carried, at the `(due, seq)` position it would have been dispatched.
+#[derive(Debug, Clone, Copy)]
+struct ClosedAck {
+    due: SimTime,
+    seq: u64,
+    upto: u64,
+}
+
+/// The closed-form ACKs posted to one card by the receivers at the far
+/// end of its clean cables, one FIFO per egress port. A receiver posts
+/// in dispatch order at a constant cable latency, so each FIFO is sorted
+/// by `(due, seq)`.
+#[derive(Debug, Default)]
+struct LedgerQueues {
+    ports: [VecDeque<ClosedAck>; NUM_PORTS],
+    len: usize,
+}
+
+/// Shared handle on a card's closed-form ACK ledger (see the module
+/// docs). The card reads it; its clean neighbours post to it.
+#[derive(Debug, Clone)]
+pub struct AckLedger(Rc<LedgerInner>);
+
+#[derive(Debug)]
+struct LedgerInner {
+    /// Earliest due time over the FIFO heads (`SimTime::MAX` when
+    /// empty), so the per-event check is one load.
+    next_due: Cell<SimTime>,
+    queues: RefCell<LedgerQueues>,
+}
+
+impl Default for AckLedger {
+    fn default() -> Self {
+        AckLedger(Rc::new(LedgerInner {
+            next_due: Cell::new(SimTime::MAX),
+            queues: RefCell::default(),
+        }))
+    }
+}
+
+impl AckLedger {
+    /// Post the ACK of frames `< upto` sent on egress port `pi`.
+    fn post(&self, pi: usize, ack: ClosedAck) {
+        let mut q = self.0.queues.borrow_mut();
+        debug_assert!(
+            q.ports[pi]
+                .back()
+                .is_none_or(|b| (b.due, b.seq) < (ack.due, ack.seq)),
+            "closed-form ACKs are posted in dispatch order"
+        );
+        q.ports[pi].push_back(ack);
+        q.len += 1;
+        self.0.next_due.set(self.0.next_due.get().min(ack.due));
+    }
+
+    /// Posted ACKs not yet applied.
+    pub fn len(&self) -> usize {
+        self.0.queues.borrow().len
+    }
+
+    /// True when every posted ACK was applied.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Due time of the latest posted, unapplied ACK.
+    pub fn horizon(&self) -> Option<SimTime> {
+        let q = self.0.queues.borrow();
+        q.ports.iter().filter_map(|p| p.back()).map(|a| a.due).max()
+    }
+
+    /// Take every posted ACK that precedes dispatch position
+    /// `(now, seq)`, handing each to `apply` as `(port, upto)` in
+    /// posting order per port.
+    fn take_before(&self, now: SimTime, seq: u64, mut apply: impl FnMut(usize, u64)) {
+        let inner = &self.0;
+        if inner.next_due.get() > now {
+            return;
+        }
+        let mut q = inner.queues.borrow_mut();
+        let LedgerQueues { ports, len } = &mut *q;
+        let mut next_due = SimTime::MAX;
+        for (pi, fifo) in ports.iter_mut().enumerate() {
+            while let Some(a) = fifo.front().copied() {
+                if (a.due, a.seq) >= (now, seq) {
+                    next_due = next_due.min(a.due);
+                    break;
+                }
+                fifo.pop_front();
+                *len -= 1;
+                apply(pi, a.upto);
+            }
+        }
+        inner.next_due.set(next_due);
+    }
+}
 
 /// Transmit side of one port's go-back-N channel.
 #[derive(Debug, Default)]
@@ -28,8 +141,12 @@ struct LinkTxState {
     base: u64,
     /// Clean (pre-corruption) copies of the unacknowledged frames
     /// `base..next_seq`, in order. Clones only bump payload refcounts, so
-    /// the replay buffer costs no byte copies.
+    /// the replay buffer costs no byte copies. Empty on a clean cable,
+    /// where nothing is ever replayed and `next_seq - base` is the count.
     replay: VecDeque<ApePacket>,
+    /// The port's cable is clean: its ACKs arrive in closed form and the
+    /// replay buffer keeps counts only.
+    clean: bool,
     /// Frames waiting for window credit, with their from-drain flag (a
     /// from-drain frame owes a `DrainNext` when it finally serializes).
     pending: VecDeque<(ApePacket, bool)>,
@@ -43,15 +160,24 @@ struct LinkTxState {
 }
 
 impl LinkTxState {
+    /// Unacknowledged frames held for replay.
+    fn held(&self) -> usize {
+        if self.clean {
+            (self.next_seq - self.base) as usize
+        } else {
+            self.replay.len()
+        }
+    }
+
     /// Release acknowledged frames `< upto` from the replay buffer.
     /// Returns true when the window advanced.
     fn release_acked(&mut self, upto: u64) -> bool {
         if upto <= self.base {
             return false;
         }
-        let acked = ((upto - self.base) as usize).min(self.replay.len());
-        for _ in 0..acked {
-            self.replay.pop_front();
+        let acked = ((upto - self.base) as usize).min(self.held());
+        if !self.clean {
+            self.replay.drain(..acked);
         }
         self.base += acked as u64;
         self.consec_timeouts = 0;
@@ -81,6 +207,11 @@ pub(super) struct LinkStage {
     tx: [LinkTxState; NUM_PORTS],
     rx: [LinkRxState; NUM_PORTS],
     pub(super) injectors: [Option<FaultInjector>; NUM_PORTS],
+    /// Closed-form ACKs owed to this card by its clean cables' far ends.
+    ledger: AckLedger,
+    /// Per ingress port on a clean cable: the far card's ledger and the
+    /// egress port there that the ACKs of this port's frames free.
+    ack_to: [Option<(AckLedger, usize)>; NUM_PORTS],
     /// Any fault source is configured (legacy periodic corruption, an
     /// injector on some port, or an admin kill schedule). When false, no
     /// retransmit timers are ever armed and no window holds frames back,
@@ -101,6 +232,8 @@ impl LinkStage {
             tx: Default::default(),
             rx: Default::default(),
             injectors: Default::default(),
+            ledger: AckLedger::default(),
+            ack_to: Default::default(),
             fault_active: false,
             fault_rng: Xoshiro256ss::seed_from(fault::derive_seed(cfg.fault_seed, coord_salt)),
             tx_since_fault: 0,
@@ -117,14 +250,23 @@ impl LinkStage {
     /// explicit arming for kill schedules, and an admin cable kill all
     /// come through here.
     pub(super) fn arm(&mut self) {
+        assert!(
+            self.ack_to.iter().all(Option::is_none),
+            "a card with clean cables cannot be armed: they settle ACKs in closed form"
+        );
         self.fault_active = true;
+    }
+
+    /// Any fault source is configured on this card.
+    pub(super) fn armed(&self) -> bool {
+        self.fault_active
     }
 
     /// Point-in-time go-back-N occupancy of port `pi`.
     pub(super) fn port_occupancy(&self, pi: usize, wire_bytes: u64) -> PortOccupancy {
         let st = &self.tx[pi];
         PortOccupancy {
-            replay: st.replay.len(),
+            replay: st.held(),
             pending: st.pending.len(),
             in_flight: st.next_seq - st.base,
             wire_bytes,
@@ -135,12 +277,22 @@ impl LinkStage {
     /// from-drain flags), stale its timers and reset its receive side.
     pub(super) fn retire(&mut self, pi: usize) -> Vec<(ApePacket, bool)> {
         let st = &mut self.tx[pi];
+        debug_assert!(!st.clean, "a clean cable never fails");
         let mut frames: Vec<(ApePacket, bool)> = st.replay.drain(..).map(|p| (p, false)).collect();
         frames.extend(st.pending.drain(..));
         st.epoch += 1; // in-flight timer events for this port go stale
         st.timer_live = false;
         self.rx[pi] = LinkRxState::default();
         frames
+    }
+
+    /// Apply every closed-form ACK that precedes dispatch position
+    /// `(now, seq)`, in order.
+    pub(super) fn settle_acks(&mut self, now: SimTime, seq: u64) {
+        let tx = &mut self.tx;
+        self.ledger.take_before(now, seq, |pi, upto| {
+            tx[pi].release_acked(upto);
+        });
     }
 }
 
@@ -191,7 +343,7 @@ impl Card {
         if let Some(ov) = self.cfg.overload {
             if !packet.is_cnp() && !packet.ecn {
                 let st = &self.link.tx[pi];
-                if (st.replay.len() + st.pending.len()) as u32 >= ov.port_highwater {
+                if (st.held() + st.pending.len()) as u32 >= ov.port_highwater {
                     packet.mark_ecn();
                     self.stats.ecn_marked += 1;
                 }
@@ -217,7 +369,9 @@ impl Card {
         }
         let seq = st.next_seq;
         st.next_seq += 1;
-        st.replay.push_back(packet.clone());
+        if !st.clean {
+            st.replay.push_back(packet.clone());
+        }
         self.transmit_data(port, seq, packet, ready, now, from_drain, false, out);
         self.arm_timer(port, out);
     }
@@ -359,6 +513,57 @@ impl Card {
         }
     }
 
+    /// Acknowledge frames `< upto` received on `port`: a control symbol
+    /// back to the sender, or on a clean cable a closed-form ACK that
+    /// the cluster posts to the sender's ledger at the same latency.
+    fn send_ack(&mut self, port: Port, upto: u64, out: &mut Outbox<CardOut>) {
+        if self.link.ack_to[port.index()].is_none() {
+            self.send_control(port, LinkMsg::Ack { upto }, out);
+            return;
+        }
+        let latency = match port {
+            Port::Link(_) => self.cfg.link_latency,
+            Port::Loopback => self.cfg.loopback_transit,
+        };
+        out.push(latency, CardOut::ClosedAck { port, upto });
+    }
+
+    /// Post a closed-form ACK of frames `< upto` received on `port` to
+    /// the sender's ledger, at the dispatch position `(due, seq)` the
+    /// ACK event would have had.
+    pub fn post_closed_ack(&self, port: Port, due: SimTime, seq: u64, upto: u64) {
+        let (ledger, far) = self.link.ack_to[port.index()]
+            .as_ref()
+            .expect("closed-form ACKs only leave clean cables");
+        ledger.post(*far, ClosedAck { due, seq, upto });
+    }
+
+    /// Apply every closed-form ACK posted to this card that precedes
+    /// dispatch position `(now, seq)`. The cluster calls it before each
+    /// event of this card, and with `seq = u64::MAX` before reading the
+    /// card from outside any event at `now`.
+    pub fn settle_acks(&mut self, now: SimTime, seq: u64) {
+        self.link.settle_acks(now, seq);
+    }
+
+    /// This card's closed-form ACK ledger.
+    pub fn ack_ledger(&self) -> AckLedger {
+        self.link.ledger.clone()
+    }
+
+    /// Declare `port`'s cable clean: both end cards are unarmed (no
+    /// injector, no kill plan, no legacy corruption), so nothing on it
+    /// is ever lost. From here on the port's replay buffer keeps counts
+    /// only, and the ACKs of frames arriving on it go in closed form to
+    /// `far`, the ledger of the card at the other end, whose egress port
+    /// `far_port` sent them.
+    pub fn close_cable(&mut self, port: Port, far: AckLedger, far_port: Port) {
+        assert!(!self.link.armed(), "an armed card's cables are not clean");
+        let pi = port.index();
+        self.link.tx[pi].clean = true;
+        self.link.ack_to[pi] = Some((far, far_port.index()));
+    }
+
     /// Arm the retransmit timer of `port` if it has unacknowledged frames
     /// and no live timer. Timers exist only while fault injection is
     /// possible: a fault-free run never schedules one, so the reliability
@@ -429,7 +634,14 @@ impl Card {
         }
         st.consec_timeouts += 1;
         st.epoch += 1;
+        let barren = st.consec_timeouts;
         self.stats.links[pi].timeouts += 1;
+        if let Port::Link(dir) = port {
+            if !self.cfg.route_around_faults && barren >= RETRY_LIMIT {
+                self.mark_own_port_dead(dir, now, out);
+                return;
+            }
+        }
         if self.keepalive_miss(port, now, out) {
             return;
         }
@@ -518,7 +730,7 @@ impl Card {
             rx.expect += 1;
             rx.nakked = None;
             let upto = rx.expect;
-            self.send_control(port, LinkMsg::Ack { upto }, out);
+            self.send_ack(port, upto, out);
             self.record_frame_rx(&frame, now);
             self.deliver_up(frame.packet, now, out);
         } else if frame.seq < rx.expect {
@@ -527,7 +739,7 @@ impl Card {
             // exactly-once guarantee.
             let upto = rx.expect;
             self.stats.links[pi].dup_frames += 1;
-            self.send_control(port, LinkMsg::Ack { upto }, out);
+            self.send_ack(port, upto, out);
         } else {
             // Sequence gap: an earlier frame was lost on the wire.
             self.send_nak(port, out);
@@ -559,5 +771,52 @@ impl Card {
         rx.nakked = Some(expect);
         self.stats.links[pi].naks_sent += 1;
         self.send_control(port, LinkMsg::Nak { expect }, out);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn at(ps: u64) -> SimTime {
+        SimTime::from_ps(ps)
+    }
+
+    fn post(l: &AckLedger, pi: usize, due: u64, seq: u64, upto: u64) {
+        l.post(
+            pi,
+            ClosedAck {
+                due: at(due),
+                seq,
+                upto,
+            },
+        );
+    }
+
+    fn take(l: &AckLedger, now: u64, seq: u64) -> Vec<(usize, u64)> {
+        let mut got = Vec::new();
+        l.take_before(at(now), seq, |pi, upto| got.push((pi, upto)));
+        got
+    }
+
+    #[test]
+    fn acks_apply_strictly_before_the_dispatch_position() {
+        let l = AckLedger::default();
+        post(&l, 0, 100, 7, 1);
+        post(&l, 0, 100, 9, 2);
+        post(&l, 3, 100, 8, 5);
+        post(&l, 0, 250, 12, 3);
+        assert_eq!((l.len(), l.horizon()), (4, Some(at(250))));
+        // Nothing is due before t = 100.
+        assert_eq!(take(&l, 99, u64::MAX), []);
+        // At t = 100 an event of seq 8 follows the ACK of seq 7 only;
+        // the ACKs of seq 8 and 9 come after it.
+        assert_eq!(take(&l, 100, 8), [(0, 1)]);
+        assert_eq!(take(&l, 100, 8), []);
+        // Read from outside any event at t = 100: every ACK due by then.
+        assert_eq!(take(&l, 100, u64::MAX), [(0, 2), (3, 5)]);
+        assert_eq!((l.len(), l.horizon()), (1, Some(at(250))));
+        assert_eq!(take(&l, 1_000, 0), [(0, 3)]);
+        assert!(l.is_empty() && l.horizon().is_none());
     }
 }

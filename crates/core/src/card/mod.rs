@@ -19,16 +19,16 @@ mod rx;
 mod stats;
 mod tx;
 
+pub use link::AckLedger;
 pub use stats::{metrics, CardOccupancy, CardStats, LinkStats, PortOccupancy};
 
 use crate::config::CardConfig;
 use crate::coord::{Coord, FaultMap, LinkDir, TorusDims};
-use crate::nios::{BufEntry, BufKind, BufList, GpuV2p, HostV2p, Nios, PageDesc};
+use crate::nios::{BufEntry, BufKind, BufList, Nios};
 use crate::packet::{ApePacket, MsgId};
 use crate::torus::{LinkMsg, Port, TorusLink};
 use apenet_gpu::cuda::CudaDevice;
 use apenet_gpu::mem::Memory;
-use apenet_gpu::GPU_PAGE_SIZE;
 use apenet_obs::Registry;
 use apenet_pcie::fabric::{DeviceId, Fabric};
 use apenet_pcie::server::ReadServer;
@@ -52,39 +52,24 @@ pub struct GpuHandle {
     pub cuda: Rc<RefCell<CudaDevice>>,
 }
 
-/// The firmware-visible registration state (BUF_LIST + V2P maps), shared
-/// between the card and the host driver: the driver populates it during
-/// buffer registration, the RX datapath consults it per packet.
+/// The firmware-visible registration state, shared between the card and
+/// the host driver: the driver populates the BUF_LIST during buffer
+/// registration, the RX datapath traverses it per packet. The V2P
+/// translation that follows is charged at its constant walk cost
+/// ([`HOST_V2P_WALK`](crate::nios::HOST_V2P_WALK),
+/// [`GPU_V2P_WALK`](crate::nios::GPU_V2P_WALK)): the datapath writes by
+/// virtual address, so no card keeps the page tables themselves
+/// ([`HostV2p`](crate::nios::HostV2p), [`GpuV2p`](crate::nios::GpuV2p)).
 #[derive(Default)]
 pub struct Firmware {
     /// The registered-buffer list with its linear traversal cost.
     pub buf_list: BufList,
-    /// Host virtual-to-physical map.
-    pub host_v2p: HostV2p,
-    /// One 4-level page table per local GPU.
-    pub gpu_v2p: Vec<GpuV2p>,
 }
 
 impl Firmware {
-    /// Create firmware state for a card with `n_gpus` local GPUs.
-    pub fn new(n_gpus: usize) -> Self {
-        Firmware {
-            buf_list: BufList::new(),
-            host_v2p: HostV2p::new(),
-            gpu_v2p: (0..n_gpus).map(|_| GpuV2p::new()).collect(),
-        }
-    }
-
-    /// Fallible host registration: a full BUF_LIST rejects the request
-    /// before any V2P state is touched, so the host can unregister a
-    /// buffer and retry.
+    /// Fallible host registration: a full BUF_LIST rejects the request,
+    /// so the host can unregister a buffer and retry.
     pub fn try_register_host(&mut self, vaddr: u64, len: u64, pid: u32) -> Option<usize> {
-        if self.buf_list.is_full() {
-            return None;
-        }
-        for page in (vaddr..vaddr + len.max(1)).step_by(apenet_gpu::HOST_PAGE_SIZE as usize) {
-            self.host_v2p.insert(page, page); // identity "physical" model
-        }
         self.buf_list.try_register(BufEntry {
             vaddr,
             len,
@@ -101,21 +86,6 @@ impl Firmware {
         len: u64,
         pid: u32,
     ) -> Option<usize> {
-        if self.buf_list.is_full() {
-            return None;
-        }
-        let table = &mut self.gpu_v2p[gpu.0 as usize];
-        let first = vaddr / GPU_PAGE_SIZE;
-        let last = (vaddr + len.max(1) - 1) / GPU_PAGE_SIZE;
-        for p in first..=last {
-            table.insert(
-                p * GPU_PAGE_SIZE,
-                PageDesc {
-                    phys: p * GPU_PAGE_SIZE,
-                    token: 0xA9E0_0000 | gpu.0 as u64,
-                },
-            );
-        }
         self.buf_list.try_register(BufEntry {
             vaddr,
             len,
@@ -319,6 +289,17 @@ pub enum CardOut {
         /// Message id.
         msg: MsgId,
     },
+    /// A clean cable's ACK of frames `< upto` received on `port`,
+    /// settled in closed form: the cluster takes the sequence number the
+    /// ACK event would have had and posts it to the sender's ledger
+    /// ([`Card::post_closed_ack`]) instead of scheduling an event. The
+    /// delay is the cable latency.
+    ClosedAck {
+        /// The ingress port the acknowledged frames arrived on.
+        port: Port,
+        /// Cumulative: every frame below this sequence number.
+        upto: u64,
+    },
     /// A typed failure effect (dead link, unreachable destination, RX
     /// event-ring backpressure) — failures are visible, never silent.
     Error(CardError),
@@ -427,6 +408,12 @@ impl Card {
     pub fn set_fault_injector(&mut self, port: Port, inj: FaultInjector) {
         self.link.arm();
         self.link.injectors[port.index()] = Some(inj);
+    }
+
+    /// True when any fault source is configured on this card: an
+    /// injector, a kill plan or the legacy periodic corruption.
+    pub fn fault_plane_armed(&self) -> bool {
+        self.link.armed()
     }
 
     /// Arm the fault plane without attaching an injector: admin kill

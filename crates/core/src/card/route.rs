@@ -72,7 +72,9 @@ impl Card {
             self.dims
                 .next_hop_faulty(self.coord, dst, &self.route.fault_map)
         } else {
+            // Without route-around a retired port is a dead end.
             match self.dims.next_hop(self.coord, dst) {
+                Some(d) if self.route.dead(Port::Link(d).index()) => RouteChoice::Unreachable,
                 Some(d) => RouteChoice::Hop(d),
                 None => RouteChoice::Local,
             }
@@ -154,12 +156,18 @@ impl Card {
 
     /// Retire one of this card's ports: stop its timers forever (bounding
     /// the event stream so the sim can quiesce), surface the typed error,
-    /// and route its replay and pending frames again through the
-    /// fault-aware router. Replayed frames already produced their
-    /// `DrainNext` when they first serialized; pending ones still owe
-    /// theirs — even if they end up dropped as unreachable, the drain
-    /// must advance.
-    fn mark_own_port_dead(&mut self, dir: LinkDir, now: SimTime, out: &mut Outbox<CardOut>) {
+    /// and route its replay and pending frames again: around the cut
+    /// with route-around on, else into `drop_unreachable` (strict
+    /// dimension order has no other port). Replayed frames already
+    /// produced their `DrainNext` when they first serialized; pending
+    /// ones still owe theirs — even if they end up dropped as
+    /// unreachable, the drain must advance.
+    pub(super) fn mark_own_port_dead(
+        &mut self,
+        dir: LinkDir,
+        now: SimTime,
+        out: &mut Outbox<CardOut>,
+    ) {
         let pi = Port::Link(dir).index();
         if self.route.port_dead[pi] {
             return;

@@ -3,12 +3,13 @@
 
 use super::tx::NO_JOB;
 use super::{Card, CardError, CardIn, CardOccupancy, CardOut, TxDesc};
-use crate::nios::BufKind;
+use crate::nios::{BufKind, GPU_V2P_WALK, HOST_V2P_WALK};
 use crate::packet::{ApePacket, MsgId};
 use apenet_pcie::tlp::TlpKind;
+use apenet_sim::idhash::{IdMap, IdSet};
 use apenet_sim::trace::{kind as tk, TracePayload};
 use apenet_sim::{Outbox, SimDuration, SimTime};
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 /// Reassembly state of one partially received message.
 #[derive(Debug)]
@@ -30,11 +31,11 @@ struct RxProgress {
 /// suppression and the RX event ring.
 #[derive(Default)]
 pub(super) struct RxStage {
-    msgs: HashMap<MsgId, RxProgress>,
+    msgs: IdMap<MsgId, RxProgress>,
     /// Messages fully delivered — the other half of the end-to-end
     /// duplicate suppression: a detour can re-deliver a fragment after
     /// its message already completed.
-    done: HashSet<MsgId>,
+    done: IdSet<MsgId>,
     /// RX event-ring occupancy: completions the host has not reaped yet
     /// (only tracked when `cfg.rx_ring_entries` bounds the ring).
     ring_used: u32,
@@ -121,12 +122,11 @@ impl Card {
             self.stats.rx_unmatched += 1;
             return;
         };
+        // The V2P walk costs the same whatever it finds, and the datapath
+        // writes by virtual address, so only its cost is taken.
         let (v2p_cost, gpu_extra) = match entry.kind {
-            BufKind::Host => (fw.host_v2p.walk(packet.dst_vaddr).1, SimDuration::ZERO),
-            BufKind::Gpu(id) => (
-                fw.gpu_v2p[id.0 as usize].walk(packet.dst_vaddr).1,
-                self.cfg.rx_gpu_extra,
-            ),
+            BufKind::Host => (HOST_V2P_WALK, SimDuration::ZERO),
+            BufKind::Gpu(_) => (GPU_V2P_WALK, self.cfg.rx_gpu_extra),
         };
         drop(fw);
         let task = self.cfg.rx_packet_base + bl_cost + v2p_cost + gpu_extra;

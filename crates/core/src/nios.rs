@@ -15,8 +15,8 @@
 //! Fig. 5 — emerges from this serialization.
 
 use apenet_gpu::{GpuId, GPU_PAGE_SIZE, HOST_PAGE_SIZE};
+use apenet_sim::idhash::IdMap;
 use apenet_sim::{SimDuration, SimTime};
-use std::collections::HashMap;
 
 /// The serial task server.
 #[derive(Debug, Clone, Default)]
@@ -88,12 +88,18 @@ pub struct BufEntry {
 }
 
 /// The BUF_LIST with its linear traversal cost.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct BufList {
     entries: Vec<BufEntry>,
     base_cost: SimDuration,
     per_entry: SimDuration,
     capacity: Option<usize>,
+}
+
+impl Default for BufList {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl BufList {
@@ -190,12 +196,19 @@ pub struct PageDesc {
     pub token: u64,
 }
 
+/// The constant cost of a HOST_V2P lookup.
+pub const HOST_V2P_WALK: SimDuration = SimDuration::from_ns(1500);
+
+/// The constant cost of a 4-level GPU_V2P walk (≈1.5 µs, the other half
+/// of the 3 µs RX budget).
+pub const GPU_V2P_WALK: SimDuration = SimDuration::from_ns(1500);
+
 const LEVEL_BITS: u32 = 9;
 const LEVELS: u32 = 4;
 
 #[derive(Debug, Clone, Default)]
 struct TableNode {
-    children: HashMap<u16, TableNode>,
+    children: IdMap<u16, TableNode>,
     leaf: Option<PageDesc>,
 }
 
@@ -216,12 +229,12 @@ impl Default for GpuV2p {
 }
 
 impl GpuV2p {
-    /// Empty table with the calibrated constant walk cost (≈1.5 µs,
-    /// the other half of the 3 µs RX budget).
+    /// Empty table with the calibrated constant walk cost
+    /// ([`GPU_V2P_WALK`]).
     pub fn new() -> Self {
         GpuV2p {
             root: TableNode::default(),
-            walk_cost: SimDuration::from_ns(1500),
+            walk_cost: GPU_V2P_WALK,
             mapped_pages: 0,
         }
     }
@@ -271,7 +284,7 @@ impl GpuV2p {
 /// The HOST_V2P map: 4 KB host pages, constant lookup.
 #[derive(Debug, Clone)]
 pub struct HostV2p {
-    pages: HashMap<u64, u64>, // vpn -> phys
+    pages: IdMap<u64, u64>, // vpn -> phys
     walk_cost: SimDuration,
 }
 
@@ -282,11 +295,11 @@ impl Default for HostV2p {
 }
 
 impl HostV2p {
-    /// Empty map with the calibrated walk cost.
+    /// Empty map with the calibrated walk cost ([`HOST_V2P_WALK`]).
     pub fn new() -> Self {
         HostV2p {
-            pages: HashMap::new(),
-            walk_cost: SimDuration::from_ns(1500),
+            pages: IdMap::default(),
+            walk_cost: HOST_V2P_WALK,
         }
     }
 

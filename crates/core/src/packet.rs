@@ -15,11 +15,18 @@
 //! keeps the seal-time reference, so a rewritten or swapped payload fails
 //! [`ApePacket::verify`] exactly when its bytes differ from the sealed
 //! ones.
+//!
+//! The header gets the same treatment. Its fields are read-only through
+//! the packet ([`PacketHeader`] via `Deref`); the only writers are the
+//! ECN mark, which re-seals, and [`ApePacket::header_mut`], the way tests
+//! model header corruption. The header CRC is computed only when a field
+//! was written after the seal, so a clean frame hashes no byte at all.
 
 use crate::coord::Coord;
 use apenet_sim::bytes::PayloadSlice;
 use apenet_sim::crc::Crc32;
 use apenet_sim::trace::SpanId;
+use std::ops::Deref;
 
 /// Maximum payload of one APEnet+ packet.
 pub const APE_MAX_PAYLOAD: u32 = 4096;
@@ -60,9 +67,9 @@ pub struct GetHeader {
     pub reply_vaddr: u64,
 }
 
-/// One packet on the torus.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ApePacket {
+/// The header fields of an [`ApePacket`]: everything its CRC covers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PacketHeader {
     /// Destination node coordinates (used by the router).
     pub dst: Coord,
     /// Source node coordinates.
@@ -73,12 +80,6 @@ pub struct ApePacket {
     pub dst_vaddr: u64,
     /// Total length of the whole message (for completion detection).
     pub msg_len: u64,
-    /// The fragment data — a refcounted view into the source buffer, so
-    /// fragmentation and forwarding never copy payload bytes. Sealed at
-    /// construction; reached through [`Self::payload`],
-    /// [`Self::payload_mut`] and [`Self::set_payload`], which keep the
-    /// seal.
-    payload: PayloadSlice,
     /// Present on GET (remote-read) request packets: `dst_vaddr` then
     /// names the *responder-local* range to read, `msg_len` the length,
     /// and this header carries the requester-side landing address.
@@ -93,10 +94,32 @@ pub struct ApePacket {
     /// source once a marked message completes, carrying no payload and
     /// consuming no completion — the sender's pacer eats it.
     pub cnp: bool,
-    /// Header checksum: CRC-32 over the header fields, set when the
-    /// packet is built (or re-marked) and checked by [`ApePacket::verify`]
-    /// at every link RX, together with the payload's seal.
-    pub crc: u32,
+}
+
+/// One packet on the torus: a sealed header and a sealed payload. Header
+/// fields are read through `Deref` to [`PacketHeader`].
+#[derive(Debug, Clone)]
+pub struct ApePacket {
+    header: PacketHeader,
+    /// The fragment data — a refcounted view into the source buffer, so
+    /// fragmentation and forwarding never copy payload bytes. Sealed at
+    /// construction; reached through [`Self::payload`],
+    /// [`Self::payload_mut`] and [`Self::set_payload`], which keep the
+    /// seal.
+    payload: PayloadSlice,
+    /// The header CRC at the last seal, taken when a field is first
+    /// written after it; `None` while the header is as sealed.
+    /// [`ApePacket::verify`] checks the fields against it at every link
+    /// RX, together with the payload's seal.
+    sealed_crc: Option<u32>,
+}
+
+impl Deref for ApePacket {
+    type Target = PacketHeader;
+
+    fn deref(&self) -> &PacketHeader {
+        &self.header
+    }
 }
 
 impl ApePacket {
@@ -112,20 +135,19 @@ impl ApePacket {
     ) -> Self {
         let payload = payload.into();
         assert!(payload.len() as u32 <= APE_MAX_PAYLOAD);
-        let mut p = ApePacket {
-            dst,
-            src,
-            msg,
-            dst_vaddr,
-            msg_len,
+        ApePacket::sealed(
+            PacketHeader {
+                dst,
+                src,
+                msg,
+                dst_vaddr,
+                msg_len,
+                get: None,
+                ecn: false,
+                cnp: false,
+            },
             payload,
-            get: None,
-            ecn: false,
-            cnp: false,
-            crc: 0,
-        };
-        p.seal();
-        p
+        )
     }
 
     /// Build and seal a GET (remote-read) request: a header-only packet
@@ -139,20 +161,19 @@ impl ApePacket {
         len: u64,
         reply_vaddr: u64,
     ) -> Self {
-        let mut p = ApePacket {
-            dst,
-            src,
-            msg,
-            dst_vaddr: src_vaddr,
-            msg_len: len,
-            payload: PayloadSlice::empty(),
-            get: Some(GetHeader { reply_vaddr }),
-            ecn: false,
-            cnp: false,
-            crc: 0,
-        };
-        p.seal();
-        p
+        ApePacket::sealed(
+            PacketHeader {
+                dst,
+                src,
+                msg,
+                dst_vaddr: src_vaddr,
+                msg_len: len,
+                get: Some(GetHeader { reply_vaddr }),
+                ecn: false,
+                cnp: false,
+            },
+            PayloadSlice::empty(),
+        )
     }
 
     /// Build and seal a congestion-notification packet: a header-only
@@ -160,20 +181,19 @@ impl ApePacket {
     /// the message source. It carries the marked message's id so the
     /// sender's pacer can charge the right per-destination window.
     pub fn cnp(dst: Coord, src: Coord, msg: MsgId) -> Self {
-        let mut p = ApePacket {
-            dst,
-            src,
-            msg,
-            dst_vaddr: 0,
-            msg_len: 0,
-            payload: PayloadSlice::empty(),
-            get: None,
-            ecn: false,
-            cnp: true,
-            crc: 0,
-        };
-        p.seal();
-        p
+        ApePacket::sealed(
+            PacketHeader {
+                dst,
+                src,
+                msg,
+                dst_vaddr: 0,
+                msg_len: 0,
+                get: None,
+                ecn: false,
+                cnp: true,
+            },
+            PayloadSlice::empty(),
+        )
     }
 
     /// True when this packet is a GET request header (no payload; asks
@@ -192,10 +212,21 @@ impl ApePacket {
     /// header checksum after setting CE). The payload's seal is left
     /// alone, so a re-mark can never launder a corrupted payload.
     pub fn mark_ecn(&mut self) {
-        if !self.ecn {
-            self.ecn = true;
-            self.crc = self.header_crc();
+        if !self.header.ecn {
+            self.header.ecn = true;
+            self.sealed_crc = None;
         }
+    }
+
+    /// Write access to the header fields, bypassing the seal: how tests
+    /// model header corruption on the wire. The first write after a seal
+    /// takes the seal-time CRC, which [`Self::verify`] then checks the
+    /// fields against.
+    pub fn header_mut(&mut self) -> &mut PacketHeader {
+        if self.sealed_crc.is_none() {
+            self.sealed_crc = Some(self.header_crc());
+        }
+        &mut self.header
     }
 
     /// The fragment data.
@@ -233,10 +264,15 @@ impl ApePacket {
         APE_PACKET_OVERHEAD + self.len()
     }
 
-    /// Seal the payload (no hashing) and set the header `crc`.
-    fn seal(&mut self) {
-        self.payload.seal();
-        self.crc = self.header_crc();
+    /// A packet of `header` and `payload`, both sealed. Sealing hashes
+    /// nothing: a CRC is taken only once something is written after it.
+    fn sealed(header: PacketHeader, mut payload: PayloadSlice) -> Self {
+        payload.seal();
+        ApePacket {
+            header,
+            payload,
+            sealed_crc: None,
+        }
     }
 
     /// CRC-32/ISO-HDLC over the header fields — enough to catch the
@@ -275,15 +311,16 @@ impl ApePacket {
     }
 
     /// Verify integrity: the header matches its CRC and the payload
-    /// hashes to its seal-time bytes. A payload never written since its
-    /// seal is not hashed at all.
+    /// hashes to its seal-time bytes. A header or payload never written
+    /// since its seal is not hashed at all.
     ///
     /// This catches exactly what a CRC over `payload || header` would:
     /// for a fixed header, resuming a CRC over the header bytes is a
     /// bijection of the payload CRC, so the combined CRC matches iff
     /// the payload CRC does.
     pub fn verify(&self) -> bool {
-        self.crc == self.header_crc() && self.payload.unchanged_since_seal()
+        self.sealed_crc.is_none_or(|crc| crc == self.header_crc())
+            && self.payload.unchanged_since_seal()
     }
 }
 
@@ -327,7 +364,7 @@ mod tests {
         p.payload_mut()[42] ^= 0x80;
         assert!(!p.verify());
         let mut q = packet((0..100).collect());
-        q.dst_vaddr += 1;
+        q.header_mut().dst_vaddr += 1;
         assert!(!q.verify());
     }
 
@@ -377,17 +414,17 @@ mod tests {
         assert!(p.verify());
         // Every GET-specific header bit is CRC-covered.
         let mut r = p.clone();
-        r.get = Some(GetHeader {
+        r.header_mut().get = Some(GetHeader {
             reply_vaddr: 0x7000_0000_9008,
         });
         assert!(!r.verify(), "reply_vaddr flip");
         let mut d = p.clone();
-        d.get = None;
+        d.header_mut().get = None;
         assert!(!d.verify(), "GET request must not decay into a write");
         // And the reverse: a sealed write cannot gain a GET header.
         let w = ApePacket::new(p.dst, p.src, msg, p.dst_vaddr, 0, vec![]);
         let mut w2 = w.clone();
-        w2.get = Some(GetHeader { reply_vaddr: 0 });
+        w2.header_mut().get = Some(GetHeader { reply_vaddr: 0 });
         assert!(!w2.verify(), "write must not decay into a GET request");
     }
 
@@ -427,9 +464,44 @@ mod tests {
             } else {
                 ApePacket::new(dst, src, msg, addr, len, g.bytes(0, 64))
             };
-            p.ecn = g.chance(0.5);
-            p.cnp = g.chance(0.5);
+            p.header_mut().ecn = g.chance(0.5);
+            p.header_mut().cnp = g.chance(0.5);
             assert_eq!(p.header_crc(), per_field_crc(&p), "{p:?}");
+        });
+    }
+
+    /// The header CRC taken only after a write answers exactly what an
+    /// eager one does: the model keeps the CRC of every seal
+    /// (construction and each first ECN mark) and checks the fields
+    /// against it after every step.
+    #[test]
+    fn lazy_header_crc_verifies_like_an_eager_one() {
+        use apenet_sim::check;
+        check::cases("lazy header crc", 256, |g| {
+            let mut p = packet(g.bytes(0, 64));
+            let mut eager = per_field_crc(&p);
+            for _ in 0..g.usize(1, 8) {
+                match g.u32(0, 5) {
+                    0 => p.header_mut().dst_vaddr ^= 1 << g.u32(0, 64),
+                    1 => p.header_mut().msg_len = g.u64(0, 4),
+                    2 => {
+                        let ecn = p.ecn;
+                        p.header_mut().ecn = !ecn;
+                    }
+                    3 => {
+                        let cnp = p.cnp;
+                        p.header_mut().cnp = !cnp;
+                    }
+                    _ => {
+                        let reseals = !p.ecn;
+                        p.mark_ecn();
+                        if reseals {
+                            eager = per_field_crc(&p);
+                        }
+                    }
+                }
+                assert_eq!(p.verify(), per_field_crc(&p) == eager, "{p:?}");
+            }
         });
     }
 
@@ -439,7 +511,7 @@ mod tests {
         assert!(!p.ecn && !p.cnp);
         // Forging a mark without re-sealing is detected …
         let mut forged = p.clone();
-        forged.ecn = true;
+        forged.header_mut().ecn = true;
         assert!(!forged.verify(), "forged ECN mark");
         // … while a marking hop re-seals and stays valid.
         let mut marked = p.clone();
@@ -449,7 +521,7 @@ mod tests {
         assert!(marked.verify());
         // Erasing a sealed mark is detected too.
         let mut erased = marked.clone();
-        erased.ecn = false;
+        erased.header_mut().ecn = false;
         assert!(!erased.verify(), "erased ECN mark");
         // A CNP echo is header-only, sealed, and cannot decay into (or
         // out of) a data frame.
@@ -457,10 +529,10 @@ mod tests {
         assert!(c.is_cnp() && c.is_empty() && c.verify());
         assert_eq!(c.wire_bytes(), APE_PACKET_OVERHEAD);
         let mut d = c.clone();
-        d.cnp = false;
+        d.header_mut().cnp = false;
         assert!(!d.verify(), "CNP must not decay into a write");
         let mut w = p.clone();
-        w.cnp = true;
+        w.header_mut().cnp = true;
         assert!(!w.verify(), "write must not decay into a CNP");
     }
 
@@ -539,19 +611,19 @@ mod tests {
 
             // Header corruption: each addressed field in turn.
             let mut h = p.clone();
-            h.dst_vaddr ^= 1 << g.u32(0, 48);
+            h.header_mut().dst_vaddr ^= 1 << g.u32(0, 48);
             assert!(!h.verify(), "dst_vaddr flip");
             let mut m = p.clone();
-            m.msg.seq ^= 1 << g.u32(0, 63);
+            m.header_mut().msg.seq ^= 1 << g.u32(0, 63);
             assert!(!m.verify(), "msg seq flip");
             let mut l = p.clone();
-            l.msg_len ^= 1 << g.u32(0, 32);
+            l.header_mut().msg_len ^= 1 << g.u32(0, 32);
             assert!(!l.verify(), "msg_len flip");
             let mut e = p.clone();
-            e.ecn = !e.ecn;
+            e.header_mut().ecn = !e.ecn;
             assert!(!e.verify(), "ecn flip");
             let mut cn = p.clone();
-            cn.cnp = !cn.cnp;
+            cn.header_mut().cnp = !cn.cnp;
             assert!(!cn.verify(), "cnp flip");
 
             // A clone shares the sealed payload; corrupting it after

@@ -34,11 +34,11 @@
 use crate::digest::PercentileDigest;
 use crate::recorder::RetainReason;
 use crate::registry::Registry;
+use apenet_sim::idhash::IdMap;
 use apenet_sim::trace::{kind, SpanId, TracePayload, TraceRecord};
 use apenet_sim::{SimDuration, SimTime};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// One pipeline stage of a message's life (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -265,33 +265,9 @@ fn max_t(slot: &mut Option<SimTime>, at: SimTime) {
 /// `finish` sorts by span once, so the output order is deterministic.
 #[derive(Default)]
 pub struct LedgerFold {
-    index: HashMap<SpanId, u32, BuildHasherDefault<SpanHasher>>,
+    index: IdMap<SpanId, u32>,
     spans: Vec<(SpanId, RawSpan)>,
     last: Option<(SpanId, u32)>,
-}
-
-/// Hashes a [`SpanId`] with one folded 64×64→128-bit multiply, which
-/// mixes the rank bits into the low bits and the sequence bits into the
-/// high ones. Span ids come from the simulator, not from an adversary,
-/// so the default hasher's flooding resistance buys nothing here.
-#[derive(Default)]
-struct SpanHasher(u64);
-
-impl Hasher for SpanHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        let m = u128::from(self.0 ^ n) * 0x9E37_79B9_7F4A_7C15;
-        self.0 = (m as u64) ^ ((m >> 64) as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
 }
 
 impl LedgerFold {

@@ -1,7 +1,7 @@
 //! The RDMA endpoint API: registration and PUT.
 //!
 //! One [`RdmaEndpoint`] lives on each host. It validates and registers
-//! buffers into the card's firmware state (BUF_LIST + V2P tables), keeps
+//! buffers into the card's firmware state (its BUF_LIST), keeps
 //! the internal mapping cache of §IV.A, and turns `put()` calls into
 //! [`TxDesc`]s for the card, charging the host-side driver costs.
 
@@ -11,8 +11,8 @@ use apenet_core::coord::Coord;
 use apenet_core::nios::BufKind;
 use apenet_core::packet::MsgId;
 use apenet_gpu::{MemKind, Uva};
+use apenet_sim::idhash::IdMap;
 use apenet_sim::SimDuration;
-use std::collections::HashMap;
 use std::fmt;
 
 /// Errors surfaced by the endpoint.
@@ -90,7 +90,7 @@ pub struct RdmaEndpoint {
     pid: u32,
     rank: u32,
     seq: u64,
-    reg_cache: HashMap<u64, BufKind>, // base addr -> kind
+    reg_cache: IdMap<u64, BufKind>, // base addr -> kind
     /// Outstanding-ops admission budget (None = admission off, the
     /// pre-overload-plane behaviour).
     admission: Option<u32>,
@@ -108,7 +108,7 @@ impl RdmaEndpoint {
             pid: 1000 + rank,
             rank,
             seq: 0,
-            reg_cache: HashMap::new(),
+            reg_cache: IdMap::default(),
             admission: None,
             outstanding: 0,
         }
@@ -359,7 +359,7 @@ mod tests {
                 pcie_dev: gpu_dev,
                 cuda: cuda.clone(),
             }],
-            firmware: Rc::new(RefCell::new(Firmware::new(1))),
+            firmware: Rc::new(RefCell::new(Firmware::default())),
         };
         let _ = CardConfig::default();
         (

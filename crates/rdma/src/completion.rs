@@ -6,8 +6,8 @@
 //! results.
 
 use apenet_core::packet::MsgId;
+use apenet_sim::idhash::IdMap;
 use apenet_sim::SimTime;
-use std::collections::HashMap;
 
 /// Why an operation completed with an error instead of a delivery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,9 +30,9 @@ impl std::error::Error for CompletionError {}
 /// Arrival records of one host.
 #[derive(Debug, Default, Clone)]
 pub struct CompletionQueue {
-    delivered: HashMap<MsgId, (SimTime, u64)>,
-    tx_done: HashMap<MsgId, SimTime>,
-    errors: HashMap<MsgId, (SimTime, CompletionError)>,
+    delivered: IdMap<MsgId, (SimTime, u64)>,
+    tx_done: IdMap<MsgId, SimTime>,
+    errors: IdMap<MsgId, (SimTime, CompletionError)>,
     delivered_bytes: u64,
     last_delivery: Option<SimTime>,
     duplicates: u64,

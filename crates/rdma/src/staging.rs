@@ -139,7 +139,7 @@ mod tests {
                 pcie_dev: gpu_dev,
                 cuda: cuda.clone(),
             }],
-            firmware: Rc::new(RefCell::new(Firmware::new(1))),
+            firmware: Rc::new(RefCell::new(Firmware::default())),
         };
         (
             RdmaEndpoint::new(shared, uva, 0, DriverConfig::default()),

@@ -55,6 +55,8 @@ struct Node<M> {
 pub struct PoppedEvent<M> {
     /// Scheduled time.
     pub at: SimTime,
+    /// Scheduling sequence number (the FIFO tie-break at equal times).
+    pub seq: u64,
     /// Target actor index.
     pub to: usize,
     /// The message.
@@ -313,6 +315,7 @@ impl<M> CalendarQueue<M> {
         self.pops += 1;
         let node = &mut self.pool[idx as usize];
         let at = node.at;
+        let seq = node.seq;
         let to = node.to as usize;
         let msg = node.msg.take().expect("live node has a message");
         node.next = self.free;
@@ -326,6 +329,7 @@ impl<M> CalendarQueue<M> {
         }
         Some(PoppedEvent {
             at: SimTime::from_ps(at),
+            seq,
             to,
             msg,
         })

@@ -198,6 +198,7 @@ impl<A> ActorSlab<A> {
 /// Scheduling context handed to an actor during dispatch.
 pub struct Ctx<'a, M> {
     now: SimTime,
+    event_seq: u64,
     self_id: ActorId,
     seq: &'a mut u64,
     queue: &'a mut CalendarQueue<M>,
@@ -214,6 +215,23 @@ impl<'a, M> Ctx<'a, M> {
         self.self_id
     }
 
+    /// The sequence number of the event being dispatched: with
+    /// [`Ctx::now`] it is the event's `(time, seq)` position in the total
+    /// dispatch order.
+    pub fn event_seq(&self) -> u64 {
+        self.event_seq
+    }
+
+    /// Take the next sequence number without scheduling anything. An
+    /// actor that settles an event in closed form instead of scheduling
+    /// it takes the number the event would have had, so every event
+    /// scheduled after it keeps its `(time, seq)` order.
+    pub fn take_seq(&mut self) -> u64 {
+        let seq = *self.seq;
+        *self.seq += 1;
+        seq
+    }
+
     /// Schedule `msg` for actor `to`, `delay` from now.
     pub fn send(&mut self, to: ActorId, delay: SimDuration, msg: M) {
         self.send_at(to, self.now + delay, msg);
@@ -222,8 +240,7 @@ impl<'a, M> Ctx<'a, M> {
     /// Schedule `msg` for actor `to` at absolute time `at` (must be ≥ now).
     pub fn send_at(&mut self, to: ActorId, at: SimTime, msg: M) {
         debug_assert!(at >= self.now, "cannot schedule into the past");
-        let seq = *self.seq;
-        *self.seq += 1;
+        let seq = self.take_seq();
         self.queue.push(at, seq, to, msg);
     }
 
@@ -418,6 +435,7 @@ impl<M, A: Actor<M>> Sim<M, A> {
             .unwrap_or_else(|| panic!("event for missing actor #{}", ev.to));
         let mut ctx = Ctx {
             now: self.now,
+            event_seq: ev.seq,
             self_id: ev.to,
             seq: &mut self.seq,
             queue: &mut self.queue,
@@ -611,6 +629,34 @@ mod tests {
         let a = sim.add_actor(Box::new(Looper));
         sim.send(a, SimTime::ZERO, Msg::Ping(0));
         sim.run();
+    }
+
+    #[test]
+    fn taken_seqs_are_skipped_not_reordered() {
+        // At t = 0 the actor schedules two events for t = 5 around a
+        // taken number; each later event sees its own (time, seq).
+        struct Skipper {
+            log: Rc<RefCell<Vec<(u64, u64, u32)>>>,
+        }
+        impl Actor<u32> for Skipper {
+            fn on_event(&mut self, ev: u32, ctx: &mut Ctx<'_, u32>) {
+                self.log
+                    .borrow_mut()
+                    .push((ctx.now().as_ps(), ctx.event_seq(), ev));
+                if ev == 0 {
+                    ctx.send_self(SimDuration::from_ps(5), 1);
+                    let taken = ctx.take_seq();
+                    assert_eq!(taken, 2, "the number after the first send");
+                    ctx.send_self(SimDuration::from_ps(5), 2);
+                }
+            }
+        }
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let mut sim: Sim<u32> = Sim::new();
+        let a = sim.add_actor(Box::new(Skipper { log: log.clone() }));
+        sim.send(a, SimTime::ZERO, 0);
+        sim.run();
+        assert_eq!(*log.borrow(), vec![(0, 0, 0), (5, 1, 1), (5, 3, 2)]);
     }
 
     #[test]

@@ -19,6 +19,8 @@
 //! * a byte-accounted bounded **FIFO** with almost-full watermarks
 //!   ([`fifo::ByteFifo`]) — the building block of the APEnet+ flow control;
 //! * lightweight **tracing** ([`trace`]) used by the PCIe bus-analyzer model;
+//! * one fast **id hasher** ([`idhash::IdMap`], [`idhash::IdSet`]) for
+//!   every map keyed by simulator ids;
 //! * a slice-by-8 **CRC-32** ([`crc::Crc32`]) that a sealed
 //!   [`bytes::PayloadSlice`] runs only once written after its seal, so a
 //!   clean packet's checks hash only its header.
@@ -58,6 +60,7 @@ pub mod engine;
 pub mod env;
 pub mod fault;
 pub mod fifo;
+pub mod idhash;
 pub mod profile;
 pub mod rate;
 pub mod rng;

@@ -1,7 +1,8 @@
 //! Exact bandwidth arithmetic.
 //!
 //! Rates are stored in bytes per second; transfer times are computed with
-//! `u128` intermediates and ceiling division, so the simulation never loses
+//! exact integer intermediates (`u64` when the product fits, `u128`
+//! otherwise) and ceiling division, so the simulation never loses
 //! bytes to rounding and two transfers of `n` bytes always cost exactly the
 //! same.
 
@@ -64,6 +65,16 @@ impl Bandwidth {
             return SimDuration::ZERO;
         }
         assert!(self.0 > 0, "transfer over a zero-bandwidth link");
+        // Transfers under ~18 MB keep the product in a u64, whose
+        // division is one instruction instead of a 128-bit library call.
+        match bytes.checked_mul(PS_PER_S) {
+            Some(scaled) => SimDuration::from_ps(scaled.div_ceil(self.0)),
+            None => self.time_for_wide(bytes),
+        }
+    }
+
+    /// [`Bandwidth::time_for`] in 128-bit arithmetic, for any size.
+    fn time_for_wide(self, bytes: u64) -> SimDuration {
         let ps = (bytes as u128 * PS_PER_S as u128).div_ceil(self.0 as u128);
         SimDuration::from_ps(ps.try_into().expect("transfer time overflow"))
     }
@@ -132,6 +143,36 @@ mod tests {
         let bw = Bandwidth::from_bytes_per_sec(3); // 1 byte each ~333.33.. ns
         let t = bw.time_for(1);
         assert_eq!(t.as_ps(), 333_333_333_334); // ceil(1e12/3)
+    }
+
+    #[test]
+    fn narrow_path_equals_the_wide_path() {
+        // The last byte count whose product fits a u64, its neighbours,
+        // and random sizes on both sides of it.
+        let edge = u64::MAX / PS_PER_S;
+        for rate in [3, 7, 1_000_000_007, 3_500_000_000, u64::MAX] {
+            let bw = Bandwidth::from_bytes_per_sec(rate);
+            for bytes in [1, 4096, edge - 1, edge, edge + 1, edge * 2] {
+                assert_eq!(
+                    bw.time_for(bytes),
+                    bw.time_for_wide(bytes),
+                    "{bytes} B at {rate} B/s"
+                );
+            }
+        }
+        crate::check::cases("time_for narrow == wide", 512, |g| {
+            let bw = Bandwidth::from_bytes_per_sec(g.u64(1_000, u64::MAX));
+            let bytes = if g.chance(0.5) {
+                g.u64(1, edge + 1)
+            } else {
+                g.u64(edge.saturating_sub(1 << 20), edge + (1 << 20))
+            };
+            assert_eq!(
+                bw.time_for(bytes),
+                bw.time_for_wide(bytes),
+                "{bytes} B at {bw:?}"
+            );
+        });
     }
 
     #[test]

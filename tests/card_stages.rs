@@ -153,9 +153,10 @@ fn clean_gg_stream_keeps_golden_timing() {
     assert_eq!(bw.first_completion.as_ps(), 185_910_096);
     assert_eq!(bw.first_submit.as_ps(), 121_000_000);
     let profile = artifacts.profile.expect("profile plane on");
-    // The profiler spans the whole run and counts every event dispatched.
+    // The profiler spans the whole run and counts every event dispatched:
+    // the clean cable's 64 ACKs settle in closed form, not as events.
     assert_eq!(profile.span_ps, 361_275_096);
-    assert_eq!(profile.total_events(), 338);
+    assert_eq!(profile.total_events(), 274);
 }
 
 #[test]
